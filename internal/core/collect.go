@@ -210,21 +210,12 @@ func (e *CollectError) Unwrap() []error {
 	return errs
 }
 
-// CollectContext is the former name of Collect, kept as a thin shim for
-// the pre-fidelity API surface.
-//
-// Deprecated: call Collect — it has carried the context since the
-// fidelity-tier redesign collapsed the Collect/CollectContext split.
-func CollectContext(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*RunSet, error) {
-	return Collect(ctx, pl, opt)
-}
-
 // PlannedJob is one schedulable unit of a campaign: the workload profile
 // to run, the run key naming the (workload, cluster, frequency) point,
 // and — when the planning options carry a cache — the content-addressed
 // cache key of the measurement. The distributed coordinator
-// (internal/dist) ships PlannedJobs to remote workers; CollectContext
-// feeds them to its local worker pool. Either way the job list is
+// (internal/dist) ships PlannedJobs to remote workers; Collect feeds
+// them to its local worker pool. Either way the job list is
 // identical, which is what makes a distributed campaign bit-for-bit
 // equivalent to a local one.
 type PlannedJob struct {
@@ -237,11 +228,14 @@ type PlannedJob struct {
 
 // PlanCampaign fills opt's defaults against pl and expands it into the
 // campaign's ordered job list. Jobs are ordered workload-major (workload,
-// then cluster, then frequency) so that consecutive jobs pulled by one
-// worker usually share a workload: the worker's SimContext then replays
-// its cached expanded instruction stream instead of regenerating it per
-// run. The ordering never changes the collected data — runs are
-// independent and individually deterministic.
+// then cluster, then frequency), so each workload's jobs are contiguous
+// and within them each (workload, cluster) DVFS sweep is too. Collect's
+// workers claim those runs whole — a workload group, or a sweep when the
+// campaign has fewer workloads than workers — so one SimContext sees a
+// whole sweep and reuses its expanded stream, DVFS trace and atomic
+// anchors. internal/dist still dispatches this list one job at a time.
+// The ordering never changes the collected data — runs are independent
+// and individually deterministic.
 func PlanCampaign(pl *platform.Platform, opt *CollectOptions) ([]PlannedJob, error) {
 	if err := opt.fill(pl); err != nil {
 		return nil, err
@@ -284,16 +278,20 @@ func PlanCampaign(pl *platform.Platform, opt *CollectOptions) ([]PlannedJob, err
 // pl is a gem5 model, at the simulation tier selected by opt.Fidelity.
 //
 // Runs are independent simulations, so the campaign fans out across
-// opt.Workers workers (GOMAXPROCS by default); every run is individually
+// opt.Workers workers (GOMAXPROCS by default). A worker claims a whole
+// workload group at a time, or a whole DVFS sweep when there are fewer
+// workloads than workers (see claimBounds), so each sweep is recorded
+// once and replayed at its other points. Every run is individually
 // deterministic, so the resulting set is identical to a sequential
 // collection (TestCollectDeterministicAcrossWorkerCounts asserts this
 // byte-for-byte).
 //
 // The campaign stops early on the first run failure or when ctx is
 // cancelled: workers finish the runs already in flight and then abandon
-// the remaining jobs instead of burning CPU on a doomed campaign. In both
-// cases the returned error is a *CollectError carrying the completed
-// partial results, the failed runs and the skipped jobs.
+// the remaining jobs, the rest of their claimed units included, instead
+// of burning CPU on a doomed campaign. In both cases the returned error
+// is a *CollectError carrying the completed partial results, the failed
+// runs and the skipped jobs.
 func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*RunSet, error) {
 	start := time.Now()
 	campaign := opt.Tracer.Start("collect", obs.String("platform", pl.Name()))
@@ -319,8 +317,9 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	bounds := claimBounds(jobs, workers)
+	if workers > len(bounds)-1 {
+		workers = len(bounds) - 1
 	}
 	if workers < 1 {
 		workers = 1
@@ -349,15 +348,24 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 			// jobs (Reset between runs), which removes nearly all per-run
 			// allocation from the campaign.
 			sim := platform.NewSimContext(pl)
+			// jobs[i:end] is what remains of the worker's claimed unit. The
+			// stop check runs before every job, not every unit, so a
+			// failure or cancellation also abandons the rest of a claimed
+			// unit; those jobs are reported skipped.
+			i, end := 0, 0
 			for {
 				if stop.Load() || ctx.Err() != nil {
 					return
 				}
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
+				if i == end {
+					u := int(next.Add(1)) - 1
+					if u >= len(bounds)-1 {
+						return
+					}
+					i, end = bounds[u], bounds[u+1]
 				}
 				j := jobs[i]
+				i++
 				if opt.Cache != nil {
 					// Span attributes are built only when tracing: evaluating
 					// them unconditionally would pay a key-format and boxing
@@ -471,6 +479,31 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 		}
 	}
 	return rs, nil
+}
+
+// claimBounds splits the job list into the units a Collect worker claims
+// whole, returning each unit's first job index followed by len(jobs). The
+// unit is a workload group — the consecutive jobs of one workload across
+// all its clusters and frequencies — so one worker's SimContext expands
+// each workload once, records each DVFS sweep's trace once and replays it
+// at the sweep's other points, and derives each atomic sweep's anchors
+// once. A campaign with fewer workloads than workers falls back to
+// (workload, cluster) sweeps so it still spreads across the workers.
+func claimBounds(jobs []PlannedJob, workers int) []int {
+	split := func(same func(a, b RunKey) bool) []int {
+		var bounds []int
+		for i := range jobs {
+			if i == 0 || !same(jobs[i-1].Key, jobs[i].Key) {
+				bounds = append(bounds, i)
+			}
+		}
+		return append(bounds, len(jobs))
+	}
+	bounds := split(func(a, b RunKey) bool { return a.Workload == b.Workload })
+	if len(bounds)-1 < workers {
+		bounds = split(func(a, b RunKey) bool { return a.Workload == b.Workload && a.Cluster == b.Cluster })
+	}
+	return bounds
 }
 
 // Gem5Stats returns the gem5 statistics map of one model run — Experiment

@@ -17,7 +17,7 @@ import (
 func TestCollectErrorCancelCause(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := CollectContext(ctx, hw.Platform(), smallCampaign())
+	_, err := Collect(ctx, hw.Platform(), smallCampaign())
 	if err == nil {
 		t.Fatal("expected an error from a cancelled campaign")
 	}
@@ -40,7 +40,7 @@ func TestCollectErrorDeadlineCause(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 0)
 	defer cancel()
 	<-ctx.Done()
-	_, err := CollectContext(ctx, hw.Platform(), smallCampaign())
+	_, err := Collect(ctx, hw.Platform(), smallCampaign())
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("errors.Is(err, context.DeadlineExceeded) = false; err = %v", err)
 	}
@@ -52,7 +52,7 @@ func TestCollectErrorCustomCause(t *testing.T) {
 	why := errors.New("power budget exhausted")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(why)
-	_, err := CollectContext(ctx, hw.Platform(), smallCampaign())
+	_, err := Collect(ctx, hw.Platform(), smallCampaign())
 	if !errors.Is(err, why) {
 		t.Fatalf("errors.Is(err, cause) = false; err = %v", err)
 	}
@@ -86,7 +86,7 @@ func TestRunErrorUnwrapsThroughCollectError(t *testing.T) {
 }
 
 // TestPlanCampaignMatchesCollect pins that the exported planner produces
-// the job list CollectContext runs: same keys, same order, and cache keys
+// the job list Collect runs: same keys, same order, and cache keys
 // exactly when a cache is configured.
 func TestPlanCampaignMatchesCollect(t *testing.T) {
 	pl := hw.Platform()

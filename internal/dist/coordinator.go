@@ -746,7 +746,7 @@ func (cp *campaign) record(i int, m platform.Measurement, simTime time.Duration,
 }
 
 // fail records a terminal run failure and stops the campaign, mirroring
-// core.CollectContext's fail-fast: the remaining jobs become skipped.
+// core.Collect's fail-fast: the remaining jobs become skipped.
 func (cp *campaign) fail(i int, err error) {
 	re := core.RunError{Key: cp.jobs[i].Key, Err: err}
 	cp.mu.Lock()

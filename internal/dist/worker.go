@@ -29,8 +29,12 @@ type WorkerConfig struct {
 // Worker executes jobs for a coordinator. It is an http.Handler factory:
 // mount Handler() on any server (cmd/gemstoned in production, httptest in
 // the chaos suite). Simulation state is pooled per platform — a
-// SimContext costs hundreds of kilobytes to build, and the coordinator
-// orders jobs workload-major, so reuse hits constantly.
+// SimContext costs hundreds of kilobytes to build. The coordinator orders
+// jobs workload-major but, unlike core.Collect's workers, which claim
+// whole workload groups (or whole sweeps when workloads are fewer than
+// workers), it still dispatches one job at a time, so a pooled context's
+// stream and DVFS-trace caches hit only when consecutive jobs of a sweep
+// happen to land on it. Claiming sweeps here is the known follow-up.
 type Worker struct {
 	cfg WorkerConfig
 	sem chan struct{}

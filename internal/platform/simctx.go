@@ -33,8 +33,10 @@ type clusterSim struct {
 
 	// Atomic-tier anchor cache (see atomic.go): the truncated detailed
 	// samples at the cluster's DVFS extremes for the most recently
-	// predicted workload. Like the DVFS trace it is one-entry because
-	// campaigns are workload-major.
+	// predicted workload. Like the DVFS trace it is one-entry because a
+	// core.Collect worker claims whole workload groups, or whole sweeps,
+	// so one context sees every point of a sweep back to back (see
+	// SimContext; internal/dist still dispatches per job).
 	anchors atomicAnchors
 }
 
@@ -46,8 +48,11 @@ type clusterSim struct {
 // restores just-constructed state, so results are bit-identical to fresh
 // construction — the golden equivalence tests pin this) and a one-entry
 // cache of the most recently expanded instruction stream, which pays off
-// when consecutive runs share a workload (core.CollectContext orders its
-// jobs workload-major for exactly this reason).
+// when consecutive runs share a workload. core.Collect arranges that: its
+// workers claim whole workload groups, every cluster and frequency of one
+// workload, falling back to whole (workload, cluster) sweeps when a
+// campaign has fewer workloads than workers. internal/dist still
+// dispatches per job, so a remote worker's context reuses less.
 //
 // A SimContext is not safe for concurrent use; create one per worker.
 type SimContext struct {

@@ -800,12 +800,12 @@ func (s *Server) runCampaign(c *Campaign) {
 			// /trace serves only terminal campaigns, so every span a
 			// client can observe is complete.
 			root.End()
+			s.noteTerminal(c.Tenant, outcome)
 			// The results, the terminal frame and the StateDone
 			// transition commit atomically (after the ledger I/O), so
 			// no event stream can observe a terminal campaign whose
 			// "done" frame is not yet appended.
 			c.complete(hwSet, simSet, vs, Event{Type: "done", MAPE: vs.MAPE})
-			s.noteTerminal(c.Tenant)
 			s.countEvent(c.Tenant, "done")
 			s.log().Info("campaign done", "campaign", c.ID, "tenant", c.Tenant,
 				"mape", vs.MAPE, "wall", time.Since(start))
@@ -816,19 +816,24 @@ func (s *Server) runCampaign(c *Campaign) {
 	outcome = "failed"
 	root.Annotate(obs.Bool("failed", true))
 	root.End()
+	s.noteTerminal(c.Tenant, outcome)
 	c.failWith(err, Event{Type: "error", Error: err.Error()})
-	s.noteTerminal(c.Tenant)
 	s.countEvent(c.Tenant, "error")
 	s.log().Warn("campaign failed", "campaign", c.ID, "tenant", c.Tenant, "err", err)
 }
 
-// noteTerminal decrements the tenant's queue-depth gauge the moment a
-// campaign's terminal transition commits — not at settle, so the gauge
-// tracks "work the service still owes a client", the quantity a load
-// generator reconciles its own completion count against.
-func (s *Server) noteTerminal(tenant string) {
+// noteTerminal counts a campaign's outcome and decrements the tenant's
+// queue-depth gauge just before its terminal transition commits — not at
+// settle, so the gauge tracks "work the service still owes a client",
+// the quantity a load generator reconciles its own completion count
+// against. Counting first means a client that has seen the terminal
+// frame and then scrapes /metrics always finds its campaign counted.
+func (s *Server) noteTerminal(tenant, outcome string) {
 	if s.mQueue != nil {
 		s.mQueue.Add(-1, tenant)
+	}
+	if s.mCampaigns != nil {
+		s.mCampaigns.Inc(tenant, outcome)
 	}
 }
 
@@ -877,9 +882,6 @@ func (s *Server) settle(c *Campaign, outcome string, wall time.Duration) {
 	}
 	if s.mActive != nil {
 		s.mActive.Add(-1, c.Tenant)
-	}
-	if s.mCampaigns != nil {
-		s.mCampaigns.Inc(c.Tenant, outcome)
 	}
 	if s.mSeconds != nil {
 		s.mSeconds.Observe(wall.Seconds(), c.Tenant, outcome)
