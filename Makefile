@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check quick build vet test serve-test trace-smoke screen-smoke bench bench-compare loadtest loadtest-soak fuzz clean watch experiments baseline
+.PHONY: check quick build vet test serve-test trace-smoke screen-smoke loadtest loadtest-soak fuzz clean watch experiments baseline
 
 check: build vet test trace-smoke screen-smoke
 
@@ -39,39 +39,21 @@ serve-test:
 # untraced, interleaved best-of-5, asserting tracing stays within the
 # 2% bar (plus a small absolute term for sub-second scheduler jitter).
 # Deliberately NOT under -race — it is a wall-clock measurement, and
-# the race detector's instrumentation swamps the signal. BENCH_obs.json
-# carries the precise steady-state numbers
-# (BenchmarkCollect_ColdCache vs BenchmarkCollect_ColdCacheTraced).
+# the race detector's instrumentation swamps the signal. The benchmark
+# in bench/ reports the steady-state number (obs.trace_overhead_pct,
+# `bash bench/run.sh`).
 trace-smoke:
 	GEMSTONE_TRACE_SMOKE=1 $(GO) test -short -count=1 -run TestTraceOverheadSmoke ./internal/dist/
 
 # Fidelity-tier smoke: the atomic tier's documented error bound (short
-# workload sweep), the screen-then-resimulate split at the core layer
-# (flagged points re-simulated detailed, the rest keep their atomic
-# predictions, per-run provenance recording the split), and a screened
-# campaign end to end through gemstone serve.
+# workload sweep), its >= 5x speedup floor over the detailed tier on the
+# cold validation campaign (a wall-clock ratio, hence no -race), the
+# screen-then-resimulate split at the core layer (flagged points
+# re-simulated detailed, the rest keep their atomic predictions, per-run
+# provenance recording the split), and a screened campaign end to end
+# through gemstone serve.
 screen-smoke:
-	$(GO) test -short -count=1 -run 'TestAtomicErrorBound|TestScreenMixedFidelity|TestScreenModeCampaign' ./internal/platform/ ./internal/core/ ./internal/serve/
-
-# Campaign, observability and stats benchmarks; writes machine-readable
-# results to BENCH_hotloop.json (see scripts/bench.sh). BENCH_obs.json is
-# the committed pre-hot-loop baseline.
-bench:
-	sh scripts/bench.sh
-
-# Re-run the benchmarks and diff them against the committed pre-hot-loop
-# baseline; deltas beyond +-10% are highlighted. The serve-level SLO
-# metrics (gemload latency percentiles and throughput per op class) are
-# re-measured and diffed against the committed BENCH_serve.json the
-# same way.
-# The atomic-tier pair is re-measured and diffed against
-# BENCH_atomic.json, whose detailed/atomic ratio gemwatch -bench-atomic
-# additionally holds above the speedup floor.
-bench-compare:
-	sh scripts/bench.sh -c BENCH_obs.json
-	sh scripts/bench.sh -serve -c BENCH_serve.json BENCH_serve_new.json
-	sh scripts/bench.sh -atomic -c BENCH_atomic.json BENCH_atomic_new.json
-	$(GO) run ./cmd/gemwatch -bench-atomic BENCH_atomic_new.json -bench-atomic-base BENCH_atomic.json
+	$(GO) test -short -count=1 -run 'TestAtomicErrorBound|TestAtomicSpeedupFloor|TestScreenMixedFidelity|TestScreenModeCampaign' ./internal/platform/ ./internal/core/ ./internal/serve/
 
 # gemload smoke: a short closed-loop mixed load (cold/warm/events/
 # analysis) against an in-process two-worker fleet; fails unless every
@@ -98,7 +80,12 @@ baseline:
 	sh scripts/watch.sh -update
 
 # Regenerate every EXPERIMENTS.md row: one benchmark per paper table /
-# figure, run exactly once each, printing paper-vs-measured values.
+# figure, run exactly once each, printing paper-vs-measured values. The
+# BenchmarkCollect_* campaign benchmarks run here too; the span, stats and
+# remote-campaign benchmarks run with `go test -bench` in their packages.
+# End-to-end and per-layer performance numbers come from
+# `bash bench/run.sh` (`bash bench/run.sh compare` diffs two result
+# files; see bench/README.md).
 experiments:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 

@@ -442,9 +442,10 @@ func BenchmarkCollect_ColdCache(b *testing.B) {
 
 // BenchmarkCollect_ColdCacheAtomic is BenchmarkCollect_ColdCache at the
 // atomic fidelity tier: the identical campaign grid predicted from
-// short anchor runs instead of full detailed simulation. The acceptance
-// bar (BENCH_atomic.json) is a >= 10x per-op win over the detailed cold
-// run — the fast path that makes screen-then-resimulate campaigns pay.
+// short anchor runs instead of full detailed simulation. The tier must
+// stay at least 5x faster per op than the detailed cold run (the floor
+// internal/core's TestAtomicSpeedupFloor asserts) — the fast path that
+// makes screen-then-resimulate campaigns pay.
 func BenchmarkCollect_ColdCacheAtomic(b *testing.B) {
 	pl := gemstone.HardwarePlatform()
 	for i := 0; i < b.N; i++ {

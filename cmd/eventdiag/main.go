@@ -24,14 +24,11 @@ func main() {
 
 	cluster := flag.String("cluster", gemstone.ClusterA15, "cluster (a7|a15)")
 	freq := flag.Int("freq", 1000, "comparison frequency in MHz")
-	version := flag.Int("version", 1, "gem5 model version (1|2)")
+	ver := gemstone.V1
+	flag.Var(&ver, "version", "gem5 model version `N`: 1 or 2 (default 1)")
 	pool := flag.String("pool", "restricted", "candidate pool: restricted|full")
 	flag.Parse()
 
-	ver := gemstone.V1
-	if *version == 2 {
-		ver = gemstone.V2
-	}
 	opt := gemstone.PowerBuildOptions{}
 	switch *pool {
 	case "restricted":

@@ -37,7 +37,6 @@
 //	-tol F           latency reconciliation relative tolerance (default 0.35)
 //	-tol-abs-ms MS   latency reconciliation absolute slack     (default 250)
 //	-out FILE        write the full JSON report
-//	-bench-out FILE  write bench metrics (BENCH_serve.json shape)
 //	-kill-every D    fleet mode: kill a worker every D (chaos soak)
 //	-chaos           fleet mode: inject drops/duplicates/corruption
 //	-max-campaigns N fleet mode: admission bound (default 2×concurrency)
@@ -122,7 +121,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tol := fs.Float64("tol", 0.35, "latency reconciliation relative tolerance")
 	tolAbsMs := fs.Float64("tol-abs-ms", 250, "latency reconciliation absolute slack in ms")
 	outPath := fs.String("out", "", "write the full JSON report to this file")
-	benchPath := fs.String("bench-out", "", "write bench metrics (BENCH_serve.json shape) to this file")
 	killEvery := fs.Duration("kill-every", 0, "fleet mode: kill a worker every this often")
 	chaos := fs.Bool("chaos", false, "fleet mode: inject drops/duplicates/corruption on the worker wire")
 	maxCampaigns := fs.Int("max-campaigns", 0, "fleet mode: fleet-wide admission bound (0 = 2×concurrency)")
@@ -221,12 +219,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	if *benchPath != "" {
-		if err := writeBenchJSON(*benchPath, r.Bench()); err != nil {
-			fmt.Fprintf(stderr, "gemload: %v\n", err)
-			return 2
-		}
-	}
 	if !r.OK {
 		return 1
 	}
@@ -239,26 +231,4 @@ func writeJSON(path string, v any) error {
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// writeBenchJSON writes one compact object per line, the shape the
-// other BENCH_*.json files use (and the one scripts/bench.sh's
-// line-oriented awk comparison parses).
-func writeBenchJSON(path string, metrics []load.BenchMetric) error {
-	var b strings.Builder
-	b.WriteString("[\n")
-	for i, m := range metrics {
-		row, err := json.Marshal(m)
-		if err != nil {
-			return err
-		}
-		b.WriteString("  ")
-		b.Write(row)
-		if i < len(metrics)-1 {
-			b.WriteString(",")
-		}
-		b.WriteString("\n")
-	}
-	b.WriteString("]\n")
-	return os.WriteFile(path, []byte(b.String()), 0o644)
 }

@@ -59,20 +59,19 @@ func TestRunUsageErrors(t *testing.T) {
 }
 
 // TestRunFleetSmoke is the CLI end-to-end: boot the in-process fleet,
-// run a short closed-loop load, and check the report files and the
-// exit code.
+// run a short closed-loop load, and check the JSON report and the exit
+// code.
 func TestRunFleetSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet smoke skipped in -short (covered by internal/load e2e)")
 	}
 	dir := t.TempDir()
 	outPath := filepath.Join(dir, "report.json")
-	benchPath := filepath.Join(dir, "bench.json")
 	var out, errb bytes.Buffer
 	code := run([]string{
 		"-fleet", "2", "-duration", "1500ms", "-concurrency", "3",
 		"-tenants", "2", "-seed", "21",
-		"-out", outPath, "-bench-out", benchPath,
+		"-out", outPath,
 	}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
@@ -92,21 +91,11 @@ func TestRunFleetSmoke(t *testing.T) {
 	if !rep.OK || rep.CampaignsDone == 0 {
 		t.Fatalf("report: ok=%v done=%d", rep.OK, rep.CampaignsDone)
 	}
-
-	raw, err = os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bench []load.BenchMetric
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		t.Fatal(err)
-	}
-	if len(bench) == 0 {
-		t.Fatal("empty bench export")
-	}
-	for _, m := range bench {
-		if m.Name == "" || m.Unit == "" {
-			t.Fatalf("malformed bench metric: %+v", m)
+	// The per-op latency percentiles and throughput are the report's
+	// comparable numbers.
+	for _, op := range rep.Ops {
+		if op.OK > 0 && (op.ThroughputRPS <= 0 || op.P50Ms > op.P99Ms) {
+			t.Fatalf("malformed op stats: %+v", op)
 		}
 	}
 }

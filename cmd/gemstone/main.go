@@ -62,6 +62,7 @@ import (
 	"gemstone"
 	"gemstone/internal/core"
 	"gemstone/internal/dist"
+	"gemstone/internal/gem5"
 	"gemstone/internal/ledger"
 	"gemstone/internal/lmbench"
 	"gemstone/internal/obs"
@@ -188,7 +189,8 @@ func main() {
 	}
 	cluster := flag.String("cluster", gemstone.ClusterA15, "cluster to analyse (a7|a15)")
 	freq := flag.Int("freq", 1000, "analysis frequency in MHz")
-	version := flag.Int("version", 1, "gem5 model version (1|2)")
+	ver := gemstone.V1
+	flag.Var(&ver, "version", "gem5 model version `N`: 1 or 2 (default 1)")
 	analyses := flag.String("analyses", "all", "comma-separated analyses to run")
 	nWorkloads := flag.Int("workloads", 0, "limit to the first N validation workloads (0 = all)")
 	csvDir := flag.String("csvdir", "", "write CSV artefacts into this directory")
@@ -328,11 +330,6 @@ func main() {
 		want[strings.TrimSpace(a)] = true
 	}
 	on := func(name string) bool { return want["all"] || want[name] }
-
-	ver := gemstone.V1
-	if *version == 2 {
-		ver = gemstone.V2
-	}
 
 	profiles := gemstone.ValidationWorkloads()
 	if *nWorkloads > 0 && *nWorkloads < len(profiles) {
@@ -591,7 +588,7 @@ func main() {
 		entry := buildLedgerEntry(ledgerInputs{
 			hw:         gemstone.HardwarePlatform(),
 			sim:        gemstone.Gem5Platform(ver),
-			version:    *version,
+			version:    ver,
 			cluster:    *cluster,
 			freqMHz:    *freq,
 			fidelity:   fid,
@@ -638,7 +635,7 @@ func main() {
 // ledgerInputs gathers everything buildLedgerEntry distils into a record.
 type ledgerInputs struct {
 	hw, sim    *gemstone.Platform
-	version    int
+	version    gem5.Version
 	cluster    string
 	freqMHz    int
 	fidelity   gemstone.Fidelity
@@ -674,7 +671,7 @@ func buildLedgerEntry(in ledgerInputs) gemstone.LedgerEntry {
 		ModelPlatform:    simCfg.Name,
 		HWFingerprint:    hwCfg.Fingerprint(),
 		ModelFingerprint: simCfg.Fingerprint(),
-		Gem5Version:      in.version,
+		Gem5Version:      int(in.version),
 		Cluster:          in.cluster,
 		FreqMHz:          in.freqMHz,
 		Workloads:        names,
@@ -728,11 +725,7 @@ func buildLedgerEntry(in ledgerInputs) gemstone.LedgerEntry {
 
 // ledgerLatency runs the lmbench-style latency sweep on both platforms
 // for the ledger's Fig. 4 digest.
-func ledgerLatency(version int, cluster string, freqMHz int) []ledger.LatencyDigest {
-	ver := gemstone.V1
-	if version == 2 {
-		ver = gemstone.V2
-	}
+func ledgerLatency(ver gem5.Version, cluster string, freqMHz int) []ledger.LatencyDigest {
 	sizes := gemstone.DefaultLatencySizes()
 	var hwCurve, simCurve []gemstone.LatencyPoint
 	if cluster == gemstone.ClusterA15 {

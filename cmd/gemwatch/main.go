@@ -23,31 +23,6 @@
 //	-pe-floor pp     min |ΔPE| to flag a workload outlier (default 5)
 //	-mad-k    k      robust z-score outlier threshold     (default 3.5)
 //
-// Beyond model accuracy, gemwatch also watches service-level SLOs:
-// -bench-serve compares a gemload bench export (latency percentiles
-// and throughput per op class) against the committed BENCH_serve.json
-// baseline, direction-aware — latency up or throughput down beyond
-// -tol-serve-pct is drift, improvements never are. The rows join the
-// headline table. When only the serve comparison is wanted (no result
-// ledger on disk, e.g. in a load-test CI job), gemwatch degrades to a
-// serve-only report instead of failing:
-//
-//	-bench-serve file       current gemload bench export
-//	-bench-serve-base file  committed baseline (default BENCH_serve.json)
-//	-tol-serve-pct pct      allowed SLO regression percent (default 25)
-//
-// The atomic fidelity tier has its own contract: -bench-atomic compares
-// a `scripts/bench.sh -atomic` export (the detailed-vs-atomic Collect
-// pair) against the committed BENCH_atomic.json the same way, and
-// additionally requires the current detailed/atomic per-op speedup to
-// stay above -min-atomic-speedup — the fast path must remain a real
-// multiple of the detailed tier, not merely avoid drifting. These rows
-// join the headline table and the serve-only degrade path alike:
-//
-//	-bench-atomic file       current atomic-tier bench export
-//	-bench-atomic-base file  committed baseline (default BENCH_atomic.json)
-//	-min-atomic-speedup x    required detailed/atomic speedup (default 5)
-//
 // Exit status: 0 when the latest entry is within tolerance, 1 on drift,
 // 2 on usage or I/O errors (missing ledgers, no valid entries).
 package main
@@ -57,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"gemstone"
 	"gemstone/internal/ledger"
@@ -79,123 +53,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tolR2 := fs.Float64("tol-r2", 0, "allowed power-model R² degradation (0 = default 0.01)")
 	peFloor := fs.Float64("pe-floor", 0, "minimum |ΔPE| in pp to flag a workload outlier (0 = default 5)")
 	madK := fs.Float64("mad-k", 0, "robust z-score threshold for workload outliers (0 = default 3.5)")
-	benchServe := fs.String("bench-serve", "", "current serve bench export (gemload -bench-out) to compare")
-	benchServeBase := fs.String("bench-serve-base", "BENCH_serve.json", "committed serve bench baseline")
-	tolServePct := fs.Float64("tol-serve-pct", 0, "allowed serve SLO regression percent (0 = default 25)")
-	benchAtomic := fs.String("bench-atomic", "", "current atomic-tier bench export (scripts/bench.sh -atomic) to compare")
-	benchAtomicBase := fs.String("bench-atomic-base", "BENCH_atomic.json", "committed atomic-tier bench baseline")
-	minSpeedup := fs.Float64("min-atomic-speedup", 0, "required detailed/atomic per-op speedup (0 = default 5)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	var serveRows []ledger.HeadlineDrift
-	var serveNotes []string
-	if *benchServe != "" {
-		baseBench, err := ledger.LoadBenchMetrics(*benchServeBase)
-		if err != nil {
-			fmt.Fprintln(stderr, "gemwatch:", err)
-			return 2
-		}
-		curBench, err := ledger.LoadBenchMetrics(*benchServe)
-		if err != nil {
-			fmt.Fprintln(stderr, "gemwatch:", err)
-			return 2
-		}
-		serveRows, serveNotes = ledger.CompareServeBench(baseBench, curBench, *tolServePct)
-	}
-	if *benchAtomic != "" {
-		baseBench, err := ledger.LoadBenchMetrics(*benchAtomicBase)
-		if err != nil {
-			fmt.Fprintln(stderr, "gemwatch:", err)
-			return 2
-		}
-		curBench, err := ledger.LoadBenchMetrics(*benchAtomic)
-		if err != nil {
-			fmt.Fprintln(stderr, "gemwatch:", err)
-			return 2
-		}
-		rows, notes := ledger.CompareServeBench(baseBench, curBench, *tolServePct)
-		serveRows = append(serveRows, rows...)
-		serveNotes = append(serveNotes, notes...)
-
-		// Speedup floor: the row's Base is the committed baseline's own
-		// ratio (for context), Tolerance is the floor, and the breach is
-		// absolute — a current ratio under the floor fails even if the
-		// baseline had already sagged.
-		cur, err := atomicSpeedup(curBench)
-		if err != nil {
-			fmt.Fprintf(stderr, "gemwatch: %s: %v\n", *benchAtomic, err)
-			return 2
-		}
-		base, err := atomicSpeedup(baseBench)
-		if err != nil {
-			fmt.Fprintf(stderr, "gemwatch: %s: %v\n", *benchAtomicBase, err)
-			return 2
-		}
-		floor := *minSpeedup
-		if floor <= 0 {
-			floor = 5
-		}
-		serveRows = append(serveRows, ledger.HeadlineDrift{
-			Name:      "atomic_speedup_x",
-			Base:      base,
-			Cur:       cur,
-			Delta:     cur - base,
-			Tolerance: floor,
-			Breach:    cur < floor,
-		})
-	}
-
-	// benchOnly: a bench comparison (serve SLOs or the atomic tier) was
-	// requested, so a missing result ledger degrades to a bench-only
-	// report instead of failing — the load-test and bench CI jobs have
-	// no ledger on disk.
-	benchOnly := *benchServe != "" || *benchAtomic != ""
-
-	// serveOnly renders a report carrying just the bench rows.
-	serveOnly := func(why string) int {
-		fmt.Fprintf(stderr, "gemwatch: %s; bench comparison only\n", why)
-		basePlat, curPlat := *benchServeBase, *benchServe
-		if *benchServe == "" {
-			basePlat, curPlat = *benchAtomicBase, *benchAtomic
-		}
-		r := &ledger.DriftReport{
-			BasePlatform:  basePlat,
-			CurPlatform:   curPlat,
-			Headlines:     serveRows,
-			ManifestNotes: serveNotes,
-		}
-		for _, h := range serveRows {
-			r.Drift = r.Drift || h.Breach
-		}
-		fmt.Fprint(stdout, report.Drift(r))
-		if r.Drift {
-			return 1
-		}
-		return 0
-	}
-
 	base, ok, err := gemstone.OpenLedger(*basePath).Baseline()
 	if err != nil {
-		if benchOnly {
-			return serveOnly(fmt.Sprintf("no baseline ledger (%v)", err))
-		}
 		fmt.Fprintln(stderr, "gemwatch:", err)
 		return 2
 	}
 	if !ok {
-		if benchOnly {
-			return serveOnly(fmt.Sprintf("no valid baseline entries in %s", *basePath))
-		}
 		fmt.Fprintf(stderr, "gemwatch: no valid baseline entries in %s\n", *basePath)
 		return 2
 	}
 	scan, err := gemstone.OpenLedger(*ledgerPath).Scan()
 	if err != nil {
-		if benchOnly {
-			return serveOnly(fmt.Sprintf("no results ledger (%v)", err))
-		}
 		fmt.Fprintln(stderr, "gemwatch:", err)
 		return 2
 	}
@@ -203,9 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "gemwatch: skipped %d corrupt or incompatible ledger lines\n", scan.Skipped)
 	}
 	if len(scan.Entries) == 0 {
-		if benchOnly {
-			return serveOnly(fmt.Sprintf("no valid entries in %s", *ledgerPath))
-		}
 		fmt.Fprintf(stderr, "gemwatch: no valid entries in %s (run gemstone -ledger %s first)\n",
 			*ledgerPath, *ledgerPath)
 		return 2
@@ -219,12 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		PEFloorPP:       *peFloor,
 		OutlierZ:        *madK,
 	})
-	// The serve SLO rows join the headline table and the verdict.
-	r.Headlines = append(r.Headlines, serveRows...)
-	r.ManifestNotes = append(r.ManifestNotes, serveNotes...)
-	for _, h := range serveRows {
-		r.Drift = r.Drift || h.Breach
-	}
 	fmt.Fprint(stdout, report.Drift(r))
 
 	if *htmlPath != "" {
@@ -247,25 +110,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// atomicSpeedup returns the detailed/atomic per-op time ratio from a
-// bench export produced by scripts/bench.sh -atomic. go-bench names
-// carry a -GOMAXPROCS suffix, so the pair is matched on the name up to
-// the first dash.
-func atomicSpeedup(ms []ledger.BenchMetric) (float64, error) {
-	var det, atom float64
-	for _, m := range ms {
-		name, _, _ := strings.Cut(m.Name, "-")
-		switch name {
-		case "BenchmarkCollect_ColdCache":
-			det = m.Value
-		case "BenchmarkCollect_ColdCacheAtomic":
-			atom = m.Value
-		}
-	}
-	if det <= 0 || atom <= 0 {
-		return 0, fmt.Errorf("export lacks the BenchmarkCollect_ColdCache / BenchmarkCollect_ColdCacheAtomic pair")
-	}
-	return det / atom, nil
 }

@@ -140,145 +140,3 @@ func TestRunToleratesCorruptLines(t *testing.T) {
 		t.Fatalf("corruption warning missing: %s", errb.String())
 	}
 }
-
-// serveBenchFile writes a BENCH_serve.json-shaped export.
-func serveBenchFile(t *testing.T, dir, name, body string) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestRunServeBenchAlongsideLedger(t *testing.T) {
-	dir := t.TempDir()
-	basePath := filepath.Join(dir, "baseline.jsonl")
-	curPath := filepath.Join(dir, "ledger.jsonl")
-	pes := map[string]float64{"w1": -50, "w2": -52, "w3": -48}
-	writeLedger(t, basePath, entry("v1", -51, pes))
-	writeLedger(t, curPath, entry("v1", -50.5, pes))
-
-	baseBench := serveBenchFile(t, dir, "base.json",
-		`[{"name":"serve/cold/p99_ms","value":100,"unit":"ms"},
-		  {"name":"serve/cold/rps","value":50,"unit":"rps"}]`)
-	// Within tolerance: exit 0, serve rows in the headline table.
-	okBench := serveBenchFile(t, dir, "ok.json",
-		`[{"name":"serve/cold/p99_ms","value":110,"unit":"ms"},
-		  {"name":"serve/cold/rps","value":48,"unit":"rps"}]`)
-	var out, errb bytes.Buffer
-	code := run([]string{"-ledger", curPath, "-baseline", basePath,
-		"-bench-serve", okBench, "-bench-serve-base", baseBench}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr: %s\nstdout: %s", code, errb.String(), out.String())
-	}
-	if !strings.Contains(out.String(), "serve/cold/p99_ms") {
-		t.Fatalf("serve rows missing from headline table:\n%s", out.String())
-	}
-
-	// A latency regression beyond tolerance drifts even when the model
-	// accuracy is clean.
-	badBench := serveBenchFile(t, dir, "bad.json",
-		`[{"name":"serve/cold/p99_ms","value":200,"unit":"ms"},
-		  {"name":"serve/cold/rps","value":50,"unit":"rps"}]`)
-	out.Reset()
-	errb.Reset()
-	code = run([]string{"-ledger", curPath, "-baseline", basePath,
-		"-bench-serve", badBench, "-bench-serve-base", baseBench}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("serve regression: exit = %d, want 1\nstdout: %s", code, out.String())
-	}
-}
-
-func TestRunServeBenchWithoutLedger(t *testing.T) {
-	dir := t.TempDir()
-	baseBench := serveBenchFile(t, dir, "base.json",
-		`[{"name":"serve/warm/p50_ms","value":10,"unit":"ms"}]`)
-	curBench := serveBenchFile(t, dir, "cur.json",
-		`[{"name":"serve/warm/p50_ms","value":11,"unit":"ms"}]`)
-
-	// No ledgers anywhere: the serve comparison still runs, degraded to
-	// a serve-only report.
-	var out, errb bytes.Buffer
-	code := run([]string{
-		"-ledger", filepath.Join(dir, "missing.jsonl"),
-		"-baseline", filepath.Join(dir, "missing-base.jsonl"),
-		"-bench-serve", curBench, "-bench-serve-base", baseBench}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr: %s\nstdout: %s", code, errb.String(), out.String())
-	}
-	if !strings.Contains(out.String(), "serve/warm/p50_ms") {
-		t.Fatalf("serve row missing:\n%s", out.String())
-	}
-
-	// Same, with a breach: exit 1.
-	badBench := serveBenchFile(t, dir, "bad.json",
-		`[{"name":"serve/warm/p50_ms","value":100,"unit":"ms"}]`)
-	out.Reset()
-	errb.Reset()
-	code = run([]string{
-		"-ledger", filepath.Join(dir, "missing.jsonl"),
-		"-baseline", filepath.Join(dir, "missing-base.jsonl"),
-		"-bench-serve", badBench, "-bench-serve-base", baseBench}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("serve-only regression: exit = %d, want 1\nstdout: %s", code, out.String())
-	}
-
-	// A missing baseline file is still a hard usage error.
-	out.Reset()
-	errb.Reset()
-	code = run([]string{"-bench-serve", curBench,
-		"-bench-serve-base", filepath.Join(dir, "nope.json")}, &out, &errb)
-	if code != 2 {
-		t.Fatalf("missing bench baseline: exit = %d, want 2", code)
-	}
-}
-
-// TestRunAtomicBench pins the atomic-tier watchdog: the committed
-// baseline pair is compared like any bench export, plus an absolute
-// speedup floor on the current detailed/atomic ratio — and like the
-// serve comparison it degrades to a bench-only report with no ledger.
-func TestRunAtomicBench(t *testing.T) {
-	dir := t.TempDir()
-	baseBench := serveBenchFile(t, dir, "base.json",
-		`[{"name":"BenchmarkCollect_ColdCache-8","ns_per_op":2850000000},
-		  {"name":"BenchmarkCollect_ColdCacheAtomic-8","ns_per_op":256000000}]`)
-	// Healthy: ~11x, comfortably above the floor and within drift bands.
-	okBench := serveBenchFile(t, dir, "ok.json",
-		`[{"name":"BenchmarkCollect_ColdCache-8","ns_per_op":2900000000},
-		  {"name":"BenchmarkCollect_ColdCacheAtomic-8","ns_per_op":260000000}]`)
-	missing := []string{
-		"-ledger", filepath.Join(dir, "missing.jsonl"),
-		"-baseline", filepath.Join(dir, "missing-base.jsonl"),
-	}
-	var out, errb bytes.Buffer
-	code := run(append(missing, "-bench-atomic", okBench, "-bench-atomic-base", baseBench), &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr: %s\nstdout: %s", code, errb.String(), out.String())
-	}
-	if !strings.Contains(out.String(), "atomic_speedup_x") {
-		t.Fatalf("speedup row missing:\n%s", out.String())
-	}
-
-	// The atomic tier slowed to 2x: within generic drift tolerance of
-	// nothing in particular, but under the speedup floor — drift.
-	slowBench := serveBenchFile(t, dir, "slow.json",
-		`[{"name":"BenchmarkCollect_ColdCache-8","ns_per_op":2850000000},
-		  {"name":"BenchmarkCollect_ColdCacheAtomic-8","ns_per_op":1425000000}]`)
-	out.Reset()
-	errb.Reset()
-	code = run(append(missing, "-bench-atomic", slowBench, "-bench-atomic-base", baseBench, "-tol-serve-pct", "10000"), &out, &errb)
-	if code != 1 {
-		t.Fatalf("sub-floor speedup: exit = %d, want 1\nstdout: %s", code, out.String())
-	}
-
-	// An export without the pair is a usage error.
-	halfBench := serveBenchFile(t, dir, "half.json",
-		`[{"name":"BenchmarkCollect_ColdCache-8","ns_per_op":2850000000}]`)
-	out.Reset()
-	errb.Reset()
-	code = run(append(missing, "-bench-atomic", halfBench, "-bench-atomic-base", baseBench), &out, &errb)
-	if code != 2 {
-		t.Fatalf("half export: exit = %d, want 2", code)
-	}
-}

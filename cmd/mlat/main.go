@@ -24,13 +24,10 @@ func main() {
 	cluster := flag.String("cluster", gemstone.ClusterA15, "cluster to probe (a7|a15)")
 	freq := flag.Int("freq", 1000, "core frequency in MHz")
 	stride := flag.Int("stride", 256, "access stride in bytes")
-	version := flag.Int("version", 1, "gem5 model version (1|2)")
+	ver := gemstone.V1
+	flag.Var(&ver, "version", "gem5 model version `N`: 1 or 2 (default 1)")
 	flag.Parse()
 
-	ver := gemstone.V1
-	if *version == 2 {
-		ver = gemstone.V2
-	}
 	sizes := gemstone.DefaultLatencySizes()
 	curves := map[string][]lmbench.Point{}
 	switch *cluster {

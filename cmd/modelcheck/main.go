@@ -35,7 +35,8 @@ import (
 
 func main() {
 	cluster := flag.String("cluster", gemstone.ClusterA15, "cluster to validate (a7|a15)")
-	version := flag.Int("version", 1, "gem5 model version (1|2)")
+	ver := gemstone.V1
+	flag.Var(&ver, "version", "gem5 model version `N`: 1 or 2 (default 1)")
 	maxMAPE := flag.Float64("max-mape", 25, "fail if MAPE exceeds this percentage")
 	maxAbsMPE := flag.Float64("max-abs-mpe", 20, "fail if |MPE| exceeds this percentage")
 	nWorkloads := flag.Int("workloads", 0, "limit to the first N validation workloads (0 = all)")
@@ -52,10 +53,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	ver := gemstone.V1
-	if *version == 2 {
-		ver = gemstone.V2
-	}
 	profiles := gemstone.ValidationWorkloads()
 	if *nWorkloads > 0 && *nWorkloads < len(profiles) {
 		profiles = profiles[:*nWorkloads]

@@ -304,14 +304,6 @@ func Collect(ctx context.Context, pl *Platform, opt CollectOptions) (*RunSet, er
 	return core.Collect(ctx, pl, opt)
 }
 
-// CollectContext is the former name of Collect.
-//
-// Deprecated: call Collect — it has carried the context since the
-// fidelity-tier redesign collapsed the Collect/CollectContext split.
-func CollectContext(ctx context.Context, pl *Platform, opt CollectOptions) (*RunSet, error) {
-	return core.Collect(ctx, pl, opt)
-}
-
 // Screen runs a screen-then-resimulate campaign: the full grid on both
 // platforms at the atomic tier, error screening (top-K |percent error|
 // plus robust outliers), then detailed re-simulation of only the flagged

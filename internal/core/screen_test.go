@@ -23,6 +23,49 @@ func screenCampaign() CollectOptions {
 	}
 }
 
+// atomicSpeedupFloor is the least detailed/atomic wall-time ratio the
+// atomic tier must keep on a cold campaign: below it, screening stops
+// paying for its error.
+const atomicSpeedupFloor = 5
+
+// TestAtomicSpeedupFloor times the cold validation campaign (all 45
+// validation workloads across the A15's Experiment-1 DVFS points, the
+// BenchmarkCollect_ColdCache grid) at both tiers in this process and
+// asserts the atomic tier is at least atomicSpeedupFloor times faster.
+// The ratio depends only on the host, so no committed baseline is
+// needed. Runs interleave and the best of three per tier counts, to ride
+// out scheduler noise. Skipped under -race: the detector's
+// instrumentation slows the two tiers by different factors.
+func TestAtomicSpeedupFloor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("wall-clock ratio is meaningless under -race")
+	}
+	pl := hw.Platform()
+	run := func(fid platform.Fidelity) time.Duration {
+		opt := CollectOptions{
+			Clusters: []string{hw.ClusterA15},
+			Cache:    NewMemoryCache(0),
+			Fidelity: fid,
+		}
+		start := time.Now()
+		if _, err := Collect(context.Background(), pl, opt); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	bestDetailed, bestAtomic := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < 3; i++ {
+		bestDetailed = min(bestDetailed, run(platform.FidelityDetailed))
+		bestAtomic = min(bestAtomic, run(platform.FidelityAtomic))
+	}
+	ratio := float64(bestDetailed) / float64(bestAtomic)
+	t.Logf("cold campaign: detailed best %v, atomic best %v, speedup %.2fx (floor %dx)",
+		bestDetailed, bestAtomic, ratio, atomicSpeedupFloor)
+	if ratio < atomicSpeedupFloor {
+		t.Fatalf("atomic tier speedup %.2fx is under the %dx floor", ratio, atomicSpeedupFloor)
+	}
+}
+
 // TestScreenMixedFidelity pins the screen-then-resimulate contract: the
 // flagged points (and only those) are re-simulated at the detailed tier,
 // everything else keeps its atomic prediction, and the per-run

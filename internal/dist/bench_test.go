@@ -40,9 +40,9 @@ func benchCampaign(b *testing.B, traced bool) {
 }
 
 // BenchmarkRemoteCampaign / BenchmarkRemoteCampaignTraced re-measure
-// the PR 2 tracing-overhead bar on the distributed path: the traced
+// the ≤ 2 % tracing-overhead bar on the distributed path: the traced
 // run additionally records four spans per job worker-side, ships them
 // back in the JobResult gob, and stitches them clock-offset-adjusted
-// into the campaign tracer. The pair is committed as BENCH_trace.json.
+// into the campaign tracer.
 func BenchmarkRemoteCampaign(b *testing.B)       { benchCampaign(b, false) }
 func BenchmarkRemoteCampaignTraced(b *testing.B) { benchCampaign(b, true) }

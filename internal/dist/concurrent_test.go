@@ -65,7 +65,9 @@ func TestConcurrentCampaigns(t *testing.T) {
 			if l.pl == "sim" {
 				pl = gem5.Platform(gem5.V1)
 			}
-			results[i], errs[i] = coord.CollectNamed(context.Background(), l.name, pl, campaignOpts(n))
+			opt := campaignOpts(n)
+			opt.Name = l.name
+			results[i], errs[i] = coord.Collect(context.Background(), pl, opt)
 		}(i, l)
 	}
 	wg.Wait()
@@ -152,7 +154,9 @@ func TestFleetSlotsSharedAcrossCampaigns(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := coord.CollectNamed(context.Background(), fmt.Sprintf("cap-%d", i), hw.Platform(), campaignOpts(n))
+			opt := campaignOpts(n)
+			opt.Name = fmt.Sprintf("cap-%d", i)
+			_, err := coord.Collect(context.Background(), hw.Platform(), opt)
 			if err != nil {
 				t.Errorf("cap-%d: %v", i, err)
 			}

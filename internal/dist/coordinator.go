@@ -72,7 +72,7 @@ type WorkerStats struct {
 // must expire and reassign independently of the other's.
 type LeaseKey struct {
 	// Campaign is the campaign the assignment belongs to (see
-	// CollectNamed).
+	// CollectOptions.Name).
 	Campaign string
 	// Job is the content-addressed job ID (the run-cache key).
 	Job string
@@ -109,7 +109,7 @@ type Coordinator struct {
 	mHTTPErrors *obs.Counter
 	mDuplicates *obs.Counter
 
-	// seq names anonymous campaigns (Collect without CollectNamed).
+	// seq names anonymous campaigns (Collect with an empty Name).
 	seq atomic.Int64
 
 	mu       sync.Mutex
@@ -456,18 +456,6 @@ func (c *Coordinator) Collect(ctx context.Context, pl *platform.Platform, opt co
 	if name == "" {
 		name = fmt.Sprintf("campaign-%d", c.seq.Add(1))
 	}
-	return c.collectNamed(ctx, name, pl, opt)
-}
-
-// CollectNamed is Collect with the campaign name as a parameter — the
-// pre-fidelity surface, kept as a thin shim.
-//
-// Deprecated: set CollectOptions.Name and call Collect.
-func (c *Coordinator) CollectNamed(ctx context.Context, name string, pl *platform.Platform, opt core.CollectOptions) (*core.RunSet, error) {
-	return c.collectNamed(ctx, name, pl, opt)
-}
-
-func (c *Coordinator) collectNamed(ctx context.Context, name string, pl *platform.Platform, opt core.CollectOptions) (*core.RunSet, error) {
 	start := time.Now()
 	root := opt.Tracer.Start("collect",
 		obs.String("platform", pl.Name()), obs.String("campaign", name),

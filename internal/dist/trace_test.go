@@ -199,7 +199,8 @@ func TestFleetTraceStitching(t *testing.T) {
 	opt := campaignOpts(2)
 	opt.Tracer = tr
 	opt.Trace = obs.TraceContext{Campaign: "trace-test", Tenant: "acme"}
-	rs, err := coord.CollectNamed(context.Background(), "trace-test", hw.Platform(), opt)
+	opt.Name = "trace-test"
+	rs, err := coord.Collect(context.Background(), hw.Platform(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,8 @@ func TestTraceClockSkewNegativeOffset(t *testing.T) {
 			tr := obs.NewTracer()
 			opt := campaignOpts(2)
 			opt.Tracer = tr
-			if _, err := coord.CollectNamed(context.Background(), "skew-test", hw.Platform(), opt); err != nil {
+			opt.Name = "skew-test"
+			if _, err := coord.Collect(context.Background(), hw.Platform(), opt); err != nil {
 				t.Fatal(err)
 			}
 
@@ -317,7 +319,8 @@ func TestTraceKillSwitchNoOrphans(t *testing.T) {
 	tr := obs.NewTracer()
 	opt := campaignOpts(2)
 	opt.Tracer = tr
-	rs, err := coord.CollectNamed(context.Background(), "kill-test", hw.Platform(), opt)
+	opt.Name = "kill-test"
+	rs, err := coord.Collect(context.Background(), hw.Platform(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +437,8 @@ func TestTraceDuplicateCompletionImportsOnce(t *testing.T) {
 // and the traced best must stay within 2% of the untraced best plus a
 // small absolute slack that absorbs scheduler noise on sub-second runs.
 // Run it WITHOUT -race (the race detector's instrumentation swamps the
-// signal); BENCH_obs.json carries the precise steady-state measurement.
+// signal); the benchmark's obs.trace_overhead_pct probe
+// (bash bench/run.sh --trace 1) reports the steady-state overhead.
 func TestTraceOverheadSmoke(t *testing.T) {
 	if os.Getenv("GEMSTONE_TRACE_SMOKE") == "" {
 		t.Skip("set GEMSTONE_TRACE_SMOKE=1 to run the trace-overhead smoke")

@@ -21,6 +21,8 @@
 package gem5
 
 import (
+	"fmt"
+
 	"gemstone/internal/hw"
 	"gemstone/internal/mem"
 	"gemstone/internal/platform"
@@ -42,6 +44,21 @@ func (v Version) String() string {
 		return "v2"
 	}
 	return "v1"
+}
+
+// Set parses a -version command-line value, making *Version a
+// flag.Value: only "1" and "2" name a model, so a typo fails the parse
+// instead of silently running V1.
+func (v *Version) Set(s string) error {
+	switch s {
+	case "1":
+		*v = V1
+	case "2":
+		*v = V2
+	default:
+		return fmt.Errorf("gem5 model version must be 1 or 2, not %q", s)
+	}
+	return nil
 }
 
 // gem5DRAM is the model's too-optimistic memory: the microbenchmarks of

@@ -14,6 +14,20 @@ func TestVersionString(t *testing.T) {
 	}
 }
 
+func TestVersionSet(t *testing.T) {
+	var v Version
+	for in, want := range map[string]Version{"1": V1, "2": V2} {
+		if err := v.Set(in); err != nil || v != want {
+			t.Fatalf("Set(%q) = %v, %v; want %v", in, v, err, want)
+		}
+	}
+	for _, in := range []string{"0", "3", "-1", "v2", ""} {
+		if err := v.Set(in); err == nil {
+			t.Fatalf("Set(%q) accepted", in)
+		}
+	}
+}
+
 func TestConfigurationsValid(t *testing.T) {
 	for _, v := range []Version{V1, V2} {
 		p := Platform(v)

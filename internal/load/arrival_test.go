@@ -9,7 +9,7 @@ import (
 
 // Golden tests: the arrival processes are part of the reproducibility
 // contract — a given seed must generate the identical load shape on
-// every machine and every run, so a BENCH_serve.json regression can be
+// every machine and every run, so a serve latency regression can be
 // replayed exactly. These sequences were generated once and pinned.
 
 func TestPoissonGolden(t *testing.T) {

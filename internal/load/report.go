@@ -243,36 +243,6 @@ func (d *Driver) reconcile(r *Report, campaigns *obs.HDR, base, cur *Metrics) []
 	return checks
 }
 
-// BenchMetric is one scalar for BENCH_serve.json, the committed
-// baseline scripts/bench.sh and gemwatch compare against.
-type BenchMetric struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-	Unit  string  `json:"unit"`
-}
-
-// Bench flattens the report into comparable scalars: per-op p50/p95/p99
-// latency and throughput. Lower is better for *_ms, higher for *_rps —
-// the unit carries the direction.
-func (r *Report) Bench() []BenchMetric {
-	var out []BenchMetric
-	for _, op := range r.Ops {
-		if op.OK == 0 {
-			continue
-		}
-		pfx := "serve/" + op.Op + "/"
-		out = append(out,
-			BenchMetric{Name: pfx + "p50_ms", Value: round2(op.P50Ms), Unit: "ms"},
-			BenchMetric{Name: pfx + "p95_ms", Value: round2(op.P95Ms), Unit: "ms"},
-			BenchMetric{Name: pfx + "p99_ms", Value: round2(op.P99Ms), Unit: "ms"},
-			BenchMetric{Name: pfx + "rps", Value: round2(op.ThroughputRPS), Unit: "rps"},
-		)
-	}
-	return out
-}
-
-func round2(v float64) float64 { return math.Round(v*100) / 100 }
-
 // String renders the operator-facing run summary.
 func (r *Report) String() string {
 	var b strings.Builder

@@ -48,10 +48,11 @@ GEMSTONE_TRACE_SMOKE=1 go test -short -count=1 \
 	-run TestTraceOverheadSmoke ./internal/dist/
 
 # Fidelity-tier smoke (mirrors `make screen-smoke`): the atomic tier's
-# error bound (short workload sweep) plus the screen-then-resimulate
-# split at the core and serve layers.
+# error bound (short workload sweep) and >= 5x speedup floor (wall-clock,
+# so without -race), plus the screen-then-resimulate split at the core
+# and serve layers.
 go test -short -count=1 \
-	-run 'TestAtomicErrorBound|TestScreenMixedFidelity|TestScreenModeCampaign' \
+	-run 'TestAtomicErrorBound|TestAtomicSpeedupFloor|TestScreenMixedFidelity|TestScreenModeCampaign' \
 	./internal/platform/ ./internal/core/ ./internal/serve/
 
 # staticcheck is advisory: run it when installed, but only fail the

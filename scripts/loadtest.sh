@@ -5,13 +5,12 @@
 # SLO reconciliation check passes.
 #
 # Usage:
-#   scripts/loadtest.sh [-soak] [-bench out.json] [-out report.json] [-duration D]
+#   scripts/loadtest.sh [-soak] [-out report.json] [-duration D]
 #
 #   default   2-worker fleet, short closed-loop smoke (CI quick job)
 #   -soak     3-worker fleet, a worker killed every 2s plus wire chaos
 #             (drops/duplicates/corruption) for the full window — the
 #             SLO contract must hold through rolling worker death
-#   -bench    also write the BENCH_serve.json-shaped metric export
 #   -out      also write the full JSON report (CI uploads it)
 #   -duration override the offered-load window
 #
@@ -22,16 +21,11 @@ set -eu
 cd "$(dirname "$0")/.."
 
 soak=0
-bench=""
 out=""
 duration=""
 while [ $# -gt 0 ]; do
 	case "$1" in
 	-soak) soak=1 ;;
-	-bench)
-		bench="$2"
-		shift
-		;;
 	-out)
 		out="$2"
 		shift
@@ -41,7 +35,7 @@ while [ $# -gt 0 ]; do
 		shift
 		;;
 	*)
-		echo "usage: scripts/loadtest.sh [-soak] [-bench out.json] [-out report.json] [-duration D]" >&2
+		echo "usage: scripts/loadtest.sh [-soak] [-out report.json] [-duration D]" >&2
 		exit 2
 		;;
 	esac
@@ -54,7 +48,6 @@ if [ "$soak" = 1 ]; then
 else
 	set -- "$@" -fleet 2 -concurrency 3 -duration "${duration:-4s}"
 fi
-[ -n "$bench" ] && set -- "$@" -bench-out "$bench"
 [ -n "$out" ] && set -- "$@" -out "$out"
 
 exec go run ./cmd/gemload "$@"
