@@ -15,10 +15,19 @@
 //	-version   1|2           gem5 model version            (default 1)
 //	-analyses  list          comma-separated subset of:
 //	                         validate,fig3,fig4,fig5,gem5corr,regress,
-//	                         fig6,power,fig7,fig8,versions,dendro,
-//	                         consistency,workloads  (default all)
+//	                         fig6,events,power,fig7,fig8,versions,dendro,
+//	                         consistency,workloads, or all or none
+//	                         (default all); unknown names are a usage
+//	                         error. fig4 (the lat_mem_rd sweep) and
+//	                         workloads (the suite listing) need no
+//	                         campaign: a run of only those collects
+//	                         nothing. events prints the per-event gem5
+//	                         accuracy and the automated restraints of
+//	                         the power-model candidate pool (Fig. 1's
+//	                         feedback loop)
 //	-workloads N             limit to the first N validation workloads
 //	-csvdir    dir           also write CSV artefacts into dir
+//	-statsdir  dir           dump one gem5 stats.txt per model run into dir
 //	-cachedir  dir           memoise runs in a persistent cache at dir;
 //	                         re-invocations replay instead of re-simulating
 //	-progress                log per-campaign progress while collecting
@@ -41,6 +50,13 @@
 //	-workers   host:port,... distribute campaigns across these gemstoned
 //	                         workers; when none answer, campaigns degrade
 //	                         to local execution (identical results)
+//	-fidelity  detailed|atomic  simulation tier (default detailed)
+//	-screen                  screen-then-resimulate: sweep at the atomic
+//	                         tier, re-simulate the flagged points detailed
+//
+// The power model alone, trained on all 65 workloads (Experiments 3/4),
+// is examples/powerstudy; the Section VII regression gate is make watch
+// (gemstone -ledger compared with gemwatch against a baseline ledger).
 //
 // Campaigns are cancellable: SIGINT stops the outstanding simulations and
 // exits; with -cachedir the completed runs are kept, so rerunning resumes
@@ -55,6 +71,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -64,7 +81,6 @@ import (
 	"gemstone/internal/dist"
 	"gemstone/internal/gem5"
 	"gemstone/internal/ledger"
-	"gemstone/internal/lmbench"
 	"gemstone/internal/obs"
 	"gemstone/internal/platform"
 	"gemstone/internal/pmu"
@@ -160,6 +176,16 @@ func (p *progressObserver) CollectDone(s core.CollectStats) {
 	p.log.Info("campaign done", attrs...)
 }
 
+// analysisNames is the -analyses vocabulary besides all and none, in the
+// order the analyses print.
+var analysisNames = []string{
+	"validate", "fig3", "fig4", "fig5", "workloads", "dendro", "consistency",
+	"gem5corr", "regress", "fig6", "power", "events", "fig7", "fig8", "versions",
+}
+
+// fig4Stride is the access stride of the paper's Fig. 4 latency sweep.
+const fig4Stride = 256
+
 // logger is the process-wide structured logger; main replaces it once
 // -log-format is parsed. writeCSV and the observers share it.
 var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -173,6 +199,14 @@ func exit(code int) {
 		exitHooks[i]()
 	}
 	os.Exit(code)
+}
+
+// usageError reports a bad flag value the way the flag package does —
+// the message, then the usage text — and exits 2 before anything runs.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(flag.CommandLine.Output(), "gemstone: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fatal(err error) {
@@ -191,7 +225,7 @@ func main() {
 	freq := flag.Int("freq", 1000, "analysis frequency in MHz")
 	ver := gemstone.V1
 	flag.Var(&ver, "version", "gem5 model version `N`: 1 or 2 (default 1)")
-	analyses := flag.String("analyses", "all", "comma-separated analyses to run")
+	analyses := flag.String("analyses", "all", "comma-separated analyses to run: all, none or any of "+strings.Join(analysisNames, ","))
 	nWorkloads := flag.Int("workloads", 0, "limit to the first N validation workloads (0 = all)")
 	csvDir := flag.String("csvdir", "", "write CSV artefacts into this directory")
 	statsDir := flag.String("statsdir", "", "dump one gem5 stats.txt per model run into this directory")
@@ -206,6 +240,28 @@ func main() {
 	fidelityFlag := flag.String("fidelity", "detailed", "simulation tier (detailed|atomic)")
 	screen := flag.Bool("screen", false, "screen-then-resimulate: sweep the grid at the atomic tier, re-simulate the flagged points detailed")
 	flag.Parse()
+
+	want := map[string]bool{}
+	for _, a := range strings.Split(*analyses, ",") {
+		a = strings.TrimSpace(a)
+		if a != "all" && a != "none" && !slices.Contains(analysisNames, a) {
+			usageError("unknown analysis %q in -analyses", a)
+		}
+		want[a] = true
+	}
+	on := func(name string) bool { return want["all"] || want[name] }
+	if _, err := gemstone.HardwarePlatform().Cluster(*cluster); err != nil {
+		usageError("-cluster: %v", err)
+	}
+	// Campaigns run only when something consumes them: every analysis but
+	// fig4 (a microbenchmark) and workloads (a listing), the ledger, the
+	// stats dump, the validators and the screen.
+	needCampaign := *ledgerPath != "" || *statsDir != "" || *validateRuns || *screen
+	for a := range want {
+		if a != "fig4" && a != "workloads" && a != "none" {
+			needCampaign = true
+		}
+	}
 
 	lg, err := obs.NewLogger(os.Stderr, *logFormat, slog.LevelInfo)
 	if err != nil {
@@ -249,7 +305,7 @@ func main() {
 	}
 
 	var cache gemstone.RunCache
-	if *cacheDir != "" {
+	if *cacheDir != "" && needCampaign {
 		if cache, err = gemstone.OpenRunCache(*cacheDir); err != nil {
 			fatal(err)
 		}
@@ -325,12 +381,6 @@ func main() {
 		return rs, err
 	}
 
-	want := map[string]bool{}
-	for _, a := range strings.Split(*analyses, ",") {
-		want[strings.TrimSpace(a)] = true
-	}
-	on := func(name string) bool { return want["all"] || want[name] }
-
 	profiles := gemstone.ValidationWorkloads()
 	if *nWorkloads > 0 && *nWorkloads < len(profiles) {
 		profiles = profiles[:*nWorkloads]
@@ -345,7 +395,9 @@ func main() {
 
 	var hwRuns, simRuns *gemstone.RunSet
 	var flagged []gemstone.RunKey
-	if *screen {
+	switch {
+	case !needCampaign:
+	case *screen:
 		logger.Info("screening campaign", "workloads", len(profiles), "cluster", *cluster)
 		res, serr := gemstone.Screen(ctx, gemstone.HardwarePlatform(), gemstone.Gem5Platform(ver),
 			gemstone.ScreenOptions{
@@ -359,7 +411,7 @@ func main() {
 		}
 		hwRuns, simRuns, flagged = res.HW, res.Sim, res.Flagged
 		logger.Info("screen complete", "points", len(res.ScreenedPE), "flagged", len(res.Flagged))
-	} else {
+	default:
 		logger.Info("collecting hardware characterisation", "workloads", len(profiles), "cluster", *cluster)
 		hwRuns, err = collect(gemstone.HardwarePlatform(), opt())
 		if err != nil {
@@ -378,14 +430,10 @@ func main() {
 		logger.Info("wrote gem5 stats files", "count", len(simRuns.Runs), "dir", *statsDir)
 	}
 
-	// All Section IV-VII analyses below share one operating point; the
-	// Session captures it once.
-	session := gemstone.NewSession(hwRuns, simRuns, *cluster, *freq)
-
 	var clustering *gemstone.WorkloadClustering
 	needClusters := on("fig3") || on("fig6") || on("fig7") || on("fig8") || on("versions")
 	if needClusters {
-		clustering, err = session.ClusterWorkloads(16)
+		clustering, err = gemstone.ClusterWorkloads(hwRuns, simRuns, *cluster, *freq, 16)
 		if err != nil {
 			fatal(err)
 		}
@@ -397,7 +445,7 @@ func main() {
 		if n := len(profiles); n < k {
 			k = n
 		}
-		if wc, cerr := session.ClusterWorkloads(k); cerr == nil {
+		if wc, cerr := gemstone.ClusterWorkloads(hwRuns, simRuns, *cluster, *freq, k); cerr == nil {
 			clustering = wc
 		} else {
 			logger.Warn("ledger: clustering unavailable", "err", cerr)
@@ -406,7 +454,7 @@ func main() {
 
 	var summary *gemstone.ValidationSummary
 	if on("validate") || *ledgerPath != "" {
-		summary, err = session.Validate()
+		summary, err = gemstone.Validate(hwRuns, simRuns, *cluster)
 		if err != nil {
 			fatal(err)
 		}
@@ -427,19 +475,11 @@ func main() {
 		writeCSV(*csvDir, "fig3.csv", func() ([]string, [][]string) { return report.Fig3CSV(clustering) })
 	}
 	if on("fig4") {
-		curves := map[string][]lmbench.Point{}
-		sizes := gemstone.DefaultLatencySizes()
-		if *cluster == gemstone.ClusterA15 {
-			curves["hw-a15"] = gemstone.MemoryLatency(gemstone.HardwareA15(), *freq, 256, sizes)
-			curves["gem5-a15"] = gemstone.MemoryLatency(gemstone.Gem5Big(ver), *freq, 256, sizes)
-		} else {
-			curves["hw-a7"] = gemstone.MemoryLatency(gemstone.HardwareA7(), *freq, 256, sizes)
-			curves["gem5-a7"] = gemstone.MemoryLatency(gemstone.Gem5LITTLE(ver), *freq, 256, sizes)
-		}
-		fmt.Println(report.Fig4(curves))
+		hwCurve, simCurve := latencyCurves(ver, *cluster, *freq)
+		fmt.Println(report.Fig4(map[string][]gemstone.LatencyPoint{"hw-" + *cluster: hwCurve, "gem5-" + *cluster: simCurve}))
 	}
 	if on("fig5") {
-		rows, err := session.PMCErrorCorrelation(30)
+		rows, err := gemstone.PMCErrorCorrelation(hwRuns, simRuns, *cluster, *freq, 30)
 		if err != nil {
 			fatal(err)
 		}
@@ -465,7 +505,7 @@ func main() {
 		fmt.Println(report.Dendrogram(dend, names))
 	}
 	if on("consistency") {
-		fc, err := session.ErrorConsistency()
+		fc, err := gemstone.ErrorConsistency(hwRuns, simRuns, *cluster)
 		if err != nil {
 			fatal(err)
 		}
@@ -477,7 +517,7 @@ func main() {
 		fmt.Println()
 	}
 	if on("gem5corr") {
-		rows, err := session.Gem5EventCorrelation(0.3, 8)
+		rows, err := gemstone.Gem5EventCorrelation(hwRuns, simRuns, *cluster, *freq, 0.3, 8)
 		if err != nil {
 			fatal(err)
 		}
@@ -486,11 +526,11 @@ func main() {
 	if on("regress") {
 		sw := gemstone.DefaultStepwiseOptions()
 		sw.MaxTerms = 8
-		pmcRep, err := session.ErrorRegressionPMC(sw)
+		pmcRep, err := gemstone.ErrorRegressionPMC(hwRuns, simRuns, *cluster, *freq, sw)
 		if err != nil {
 			fatal(err)
 		}
-		g5Rep, err := session.ErrorRegressionGem5(sw)
+		g5Rep, err := gemstone.ErrorRegressionGem5(hwRuns, simRuns, *cluster, *freq, sw)
 		if err != nil {
 			fatal(err)
 		}
@@ -498,7 +538,7 @@ func main() {
 	}
 	if on("fig6") {
 		excl := pathologicalCluster(clustering)
-		ratios, bp, err := session.EventComparison(clustering.Labels, nil, gemstone.DefaultMapping(), excl)
+		ratios, bp, err := gemstone.EventComparison(hwRuns, simRuns, *cluster, *freq, clustering.Labels, nil, gemstone.DefaultMapping(), excl)
 		if err != nil {
 			fatal(err)
 		}
@@ -506,10 +546,10 @@ func main() {
 	}
 
 	var model *gemstone.PowerModel
-	if on("power") || on("fig7") || on("fig8") || on("versions") {
+	powerOpt := gemstone.PowerBuildOptions{Pool: gemstone.RestrictedPool()}
+	if on("power") || on("events") || on("fig7") || on("fig8") || on("versions") {
 		logger.Info("building power model", "cluster", *cluster, "pool", "restricted")
-		model, err = session.BuildPowerModel(
-			gemstone.PowerBuildOptions{Pool: gemstone.RestrictedPool()})
+		model, err = gemstone.BuildPowerModel(hwRuns, *cluster, powerOpt)
 		if err != nil {
 			fatal(err)
 		}
@@ -519,8 +559,7 @@ func main() {
 		// power analysis was requested; tolerate failure rather than lose
 		// the timing results.
 		logger.Info("building power model for the ledger", "cluster", *cluster)
-		if m, merr := session.BuildPowerModel(
-			gemstone.PowerBuildOptions{Pool: gemstone.RestrictedPool()}); merr == nil {
+		if m, merr := gemstone.BuildPowerModel(hwRuns, *cluster, powerOpt); merr == nil {
 			model = m
 		} else {
 			logger.Warn("ledger: power model unavailable", "err", merr)
@@ -533,8 +572,33 @@ func main() {
 		fmt.Println()
 		writeCSV(*csvDir, "power_model.csv", func() ([]string, [][]string) { return report.PowerModelCSV(model) })
 	}
+	if on("events") {
+		// Fig. 1's feedback loop: how well gem5 reproduces each model
+		// event, then which candidates survive the automated restraints.
+		mapping := gemstone.DefaultMapping()
+		rel, err := gemstone.AssessEventReliability(hwRuns, simRuns, *cluster, *freq, mapping, model.Events)
+		if err != nil {
+			fatal(err)
+		}
+		kept, excluded, err := gemstone.DeriveEventRestraints(hwRuns, simRuns, *cluster, *freq,
+			mapping, powerOpt.Pool, 60)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("=== Event reliability — gem5 %v vs hardware (%s @ %d MHz) ===\n", ver, *cluster, *freq)
+		fmt.Printf("%-28s %12s %12s\n", "event", "rate MAPE", "total MAPE")
+		for _, r := range rel {
+			fmt.Printf("%-28s %11.1f%% %11.1f%%\n", r.Event.String(), r.RateMAPE, r.TotalMAPE)
+		}
+		fmt.Printf("\nautomated restraints (rate MAPE > 60%% or unmappable): %d kept, %d excluded\n",
+			len(kept), len(excluded))
+		for _, e := range excluded {
+			fmt.Printf("  excluded: %s\n", e)
+		}
+		fmt.Println()
+	}
 	if on("fig7") {
-		an, err := session.AnalyzePowerEnergy(model, gemstone.DefaultMapping(), clustering.Labels)
+		an, err := gemstone.AnalyzePowerEnergy(model, gemstone.DefaultMapping(), hwRuns, simRuns, *cluster, *freq, clustering.Labels)
 		if err != nil {
 			fatal(err)
 		}
@@ -569,7 +633,7 @@ func main() {
 		if ver == gemstone.V2 {
 			v1Runs, v2Runs = otherRuns, simRuns
 		}
-		vc, err := session.WithSim(v1Runs).CompareVersions(v2Runs,
+		vc, err := gemstone.CompareVersions(hwRuns, v1Runs, v2Runs, *cluster, *freq,
 			model, gemstone.DefaultMapping(), clustering.Labels)
 		if err != nil {
 			fatal(err)
@@ -712,7 +776,7 @@ func buildLedgerEntry(in ledgerInputs) gemstone.LedgerEntry {
 		results = gemstone.LedgerResults{Cluster: in.cluster, FreqMHz: in.freqMHz}
 	}
 	results.Power = ledger.PowerFromModel(in.model)
-	results.Latency = ledgerLatency(in.version, in.cluster, in.freqMHz)
+	results.Latency = ledger.LatencyFromPoints(latencyCurves(in.version, in.cluster, in.freqMHz))
 
 	entry := gemstone.LedgerEntry{Manifest: man, Results: results}
 	if in.validator != nil {
@@ -723,19 +787,16 @@ func buildLedgerEntry(in ledgerInputs) gemstone.LedgerEntry {
 	return entry
 }
 
-// ledgerLatency runs the lmbench-style latency sweep on both platforms
-// for the ledger's Fig. 4 digest.
-func ledgerLatency(ver gem5.Version, cluster string, freqMHz int) []ledger.LatencyDigest {
-	sizes := gemstone.DefaultLatencySizes()
-	var hwCurve, simCurve []gemstone.LatencyPoint
-	if cluster == gemstone.ClusterA15 {
-		hwCurve = gemstone.MemoryLatency(gemstone.HardwareA15(), freqMHz, 256, sizes)
-		simCurve = gemstone.MemoryLatency(gemstone.Gem5Big(ver), freqMHz, 256, sizes)
-	} else {
-		hwCurve = gemstone.MemoryLatency(gemstone.HardwareA7(), freqMHz, 256, sizes)
-		simCurve = gemstone.MemoryLatency(gemstone.Gem5LITTLE(ver), freqMHz, 256, sizes)
+// latencyCurves runs the Fig. 4 lat_mem_rd-style sweep on the cluster's
+// hardware and gem5 cores.
+func latencyCurves(ver gem5.Version, cluster string, freqMHz int) (hwCurve, simCurve []gemstone.LatencyPoint) {
+	hwCore, simCore := gemstone.HardwareA15(), gemstone.Gem5Big(ver)
+	if cluster == gemstone.ClusterA7 {
+		hwCore, simCore = gemstone.HardwareA7(), gemstone.Gem5LITTLE(ver)
 	}
-	return ledger.LatencyFromPoints(hwCurve, simCurve)
+	sizes := gemstone.DefaultLatencySizes()
+	return gemstone.MemoryLatency(hwCore, freqMHz, fig4Stride, sizes),
+		gemstone.MemoryLatency(simCore, freqMHz, fig4Stride, sizes)
 }
 
 // workloadRateMatrix rebuilds the standardisable PMC-rate matrix of the

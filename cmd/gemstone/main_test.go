@@ -30,31 +30,106 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// runGemstone runs the gemstone command with args in a child process and
+// returns its stdout, stderr and exit status.
+func runGemstone(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{runMainArg}, args...)...)
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	default:
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), code
+}
+
+// assertNotCreated fails the test for every path that exists.
+func assertNotCreated(t *testing.T, paths ...string) {
+	t.Helper()
+	for _, p := range paths {
+		if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s exists (stat err %v): a campaign ran", p, err)
+		}
+	}
+}
+
+// assertUsageError runs gemstone with args plus -cachedir and -ledger and
+// checks that it is a usage error: exit 2, the usage text and each want
+// on stderr, and neither path created (no campaign ran).
+func assertUsageError(t *testing.T, args []string, want ...string) {
+	t.Helper()
+	dir := t.TempDir()
+	cacheDir := filepath.Join(dir, "cache")
+	ledgerPath := filepath.Join(dir, "ledger.jsonl")
+	_, stderr, code := runGemstone(t, append(args, "-workloads", "1",
+		"-cachedir", cacheDir, "-ledger", ledgerPath)...)
+	if code != 2 {
+		t.Fatalf("exit status %d, want 2\nstderr:\n%s", code, stderr)
+	}
+	for _, w := range append(want, "Usage") {
+		if !strings.Contains(stderr, w) {
+			t.Errorf("stderr lacks %q:\n%s", w, stderr)
+		}
+	}
+	assertNotCreated(t, cacheDir, ledgerPath)
+}
+
 // TestVersionFlagRejectsUnknownModel: only 1 and 2 name a gem5 model. Any
 // other -version is a usage error (exit 2) before a campaign runs, not a
 // silent V1 run whose ledger manifest records the bad number.
 func TestVersionFlagRejectsUnknownModel(t *testing.T) {
-	dir := t.TempDir()
-	cacheDir := filepath.Join(dir, "cache")
-	ledgerPath := filepath.Join(dir, "ledger.jsonl")
-	cmd := exec.Command(os.Args[0], runMainArg, "-version", "3",
-		"-analyses", "validate", "-workloads", "1",
-		"-cachedir", cacheDir, "-ledger", ledgerPath)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("exit = %v, want status 2\nstderr:\n%s", err, stderr.String())
+	assertUsageError(t, []string{"-version", "3", "-analyses", "validate"}, "-version", "1 or 2")
+}
+
+// TestAnalysesFlagRejectsUnknownName: a misspelt analysis is a usage
+// error, not a full campaign that prints nothing and exits 0.
+func TestAnalysesFlagRejectsUnknownName(t *testing.T) {
+	assertUsageError(t, []string{"-analyses", "validate,fgi4"}, `unknown analysis "fgi4"`)
+}
+
+// TestClusterFlagRejectsUnknownCluster: a cluster the hardware platform
+// lacks is a usage error, not a silent run on the A7 curves.
+func TestClusterFlagRejectsUnknownCluster(t *testing.T) {
+	assertUsageError(t, []string{"-cluster", "m7", "-analyses", "fig4"}, `unknown cluster "m7"`)
+}
+
+// TestCampaignFreeAnalyses: fig4 (a microbenchmark) and workloads (a
+// listing) consume no campaign, so a run of only those collects nothing —
+// not even the run cache is opened.
+func TestCampaignFreeAnalyses(t *testing.T) {
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+	stdout, stderr, code := runGemstone(t, "-analyses", "fig4,workloads", "-cachedir", cacheDir)
+	if code != 0 {
+		t.Fatalf("exit status %d\nstderr:\n%s", code, stderr)
 	}
-	for _, want := range []string{"-version", "1 or 2", "Usage"} {
-		if !strings.Contains(stderr.String(), want) {
-			t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+	for _, want := range []string{"=== Fig. 4", "hw-a15", "gem5-a15", "=== Workload suite ==="} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout)
 		}
 	}
-	for _, p := range []string{cacheDir, ledgerPath} {
-		if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
-			t.Errorf("%s exists (stat err %v): a campaign ran", p, err)
+	if strings.Contains(stderr, "collecting hardware characterisation") {
+		t.Errorf("a campaign ran:\n%s", stderr)
+	}
+	assertNotCreated(t, cacheDir)
+}
+
+// TestEventsAnalysis: the events analysis prints the per-event gem5
+// accuracy table and the automated restraints of the candidate pool.
+func TestEventsAnalysis(t *testing.T) {
+	stdout, stderr, code := runGemstone(t, "-analyses", "events", "-workloads", "6")
+	if code != 0 {
+		t.Fatalf("exit status %d\nstderr:\n%s", code, stderr)
+	}
+	for _, want := range []string{"=== Event reliability", "rate MAPE", "total MAPE",
+		"automated restraints (rate MAPE > 60% or unmappable)"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout)
 		}
 	}
 }

@@ -107,10 +107,8 @@ func main() {
 	}
 	fmt.Printf("resumed gem5 campaign: %s\n", resumed.Stats())
 
-	// Warm runs feed every analysis as usual; the Session captures the
-	// (hw, sim, cluster, freq) tuple once for the whole analysis surface.
-	session := gemstone.NewSession(coldRuns, simRuns, gemstone.ClusterA15, 1000)
-	vs, err := session.Validate()
+	// Warm runs feed every analysis as usual.
+	vs, err := gemstone.Validate(coldRuns, simRuns, gemstone.ClusterA15)
 	if err != nil {
 		log.Fatal(err)
 	}

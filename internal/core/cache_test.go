@@ -17,13 +17,13 @@ import (
 // produce an identical key.
 func TestCacheKeyInvalidation(t *testing.T) {
 	prof := workload.Validation()[0]
-	base, err := CacheKey(hw.Platform(), prof, hw.ClusterA15, 1000)
+	base, err := CacheKeyFidelity(hw.Platform(), prof, hw.ClusterA15, 1000, platform.FidelityDetailed)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("identical inputs hit", func(t *testing.T) {
-		again, err := CacheKey(hw.Platform(), prof, hw.ClusterA15, 1000)
+		again, err := CacheKeyFidelity(hw.Platform(), prof, hw.ClusterA15, 1000, platform.FidelityDetailed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestCacheKeyInvalidation(t *testing.T) {
 	}
 	for _, m := range misses {
 		t.Run(m.name+" misses", func(t *testing.T) {
-			key, err := CacheKey(m.pl, m.prof, m.cl, m.freq)
+			key, err := CacheKeyFidelity(m.pl, m.prof, m.cl, m.freq, platform.FidelityDetailed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,11 +62,11 @@ func TestCacheKeyInvalidation(t *testing.T) {
 	}
 
 	t.Run("model version V1 vs V2 misses", func(t *testing.T) {
-		k1, err := CacheKey(gem5.Platform(gem5.V1), prof, hw.ClusterA15, 1000)
+		k1, err := CacheKeyFidelity(gem5.Platform(gem5.V1), prof, hw.ClusterA15, 1000, platform.FidelityDetailed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		k2, err := CacheKey(gem5.Platform(gem5.V2), prof, hw.ClusterA15, 1000)
+		k2, err := CacheKeyFidelity(gem5.Platform(gem5.V2), prof, hw.ClusterA15, 1000, platform.FidelityDetailed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestCacheKeyInvalidation(t *testing.T) {
 	})
 
 	t.Run("unknown cluster errors", func(t *testing.T) {
-		if _, err := CacheKey(hw.Platform(), prof, "m7", 1000); err == nil {
+		if _, err := CacheKeyFidelity(hw.Platform(), prof, "m7", 1000, platform.FidelityDetailed); err == nil {
 			t.Fatal("want an error for an unknown cluster")
 		}
 	})

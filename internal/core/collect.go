@@ -89,7 +89,7 @@ type CollectOptions struct {
 	// changes the collected data — only the wall time.
 	Workers int
 	// Cache, when non-nil, memoises runs under content-addressed keys
-	// (see CacheKey): a hit replays the archived measurement instead of
+	// (see CacheKeyFidelity): a hit replays the archived measurement instead of
 	// simulating. Warm-cache campaigns cost cache lookups only.
 	Cache RunCache
 	// Observer, when non-nil, receives per-run lifecycle callbacks and
@@ -222,7 +222,7 @@ type PlannedJob struct {
 	Profile workload.Profile
 	Key     RunKey
 	// CacheKey is the content-addressed run-cache key ("" when the
-	// planning options had no cache; derive one with CacheKey if needed).
+	// planning options had no cache; derive one with CacheKeyFidelity if needed).
 	CacheKey string
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gemstone/internal/hw"
+	"gemstone/internal/platform"
 )
 
 // The campaign error chain is part of the public contract: callers detect
@@ -117,7 +118,7 @@ func TestPlanCampaignMatchesCollect(t *testing.T) {
 		if j.Key != jobs[i].Key {
 			t.Fatalf("job %d key %v diverged from plain plan %v", i, j.Key, jobs[i].Key)
 		}
-		want, err := CacheKey(pl, j.Profile, j.Key.Cluster, j.Key.FreqMHz)
+		want, err := CacheKeyFidelity(pl, j.Profile, j.Key.Cluster, j.Key.FreqMHz, platform.FidelityDetailed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,13 +31,6 @@ func TestJobIDFidelitySeparation(t *testing.T) {
 	if det == atom {
 		t.Fatalf("detailed and atomic job IDs alias: %s", det)
 	}
-	legacy, err := core.CacheKey(pl, prof, hw.ClusterA15, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy != det {
-		t.Fatalf("legacy CacheKey %s != detailed-tier key %s", legacy, det)
-	}
 }
 
 // TestDistributedAtomicCampaign runs an atomic-tier campaign over a real

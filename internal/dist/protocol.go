@@ -135,8 +135,8 @@ func SpecFor(pl *platform.Platform) (PlatformSpec, bool) {
 type Job struct {
 	// Proto is the coordinator's protocol version.
 	Proto int
-	// ID is the content-addressed work-unit key — core.CacheKey of the
-	// run, so the same job always carries the same ID and a cached or
+	// ID is the content-addressed work-unit key — core.CacheKeyFidelity of
+	// the run, so the same job always carries the same ID and a cached or
 	// duplicated response is attributable to exactly one unit of work.
 	ID string
 	// Spec names the platform; PlatformFP is the coordinator's

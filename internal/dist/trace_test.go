@@ -376,7 +376,7 @@ func TestTraceDuplicateCompletionImportsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := core.CacheKey(pl, jobs[0].Profile, jobs[0].Key.Cluster, jobs[0].Key.FreqMHz)
+	id, err := core.CacheKeyFidelity(pl, jobs[0].Profile, jobs[0].Key.Cluster, jobs[0].Key.FreqMHz, platform.FidelityDetailed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package serve is the campaign service: a long-running daemon that
 // promotes the one-shot CLI campaign flow into a multi-tenant HTTP/JSON
 // API. A client POSTs a campaign spec, follows the run over an SSE event
-// stream, and reads the Session analysis surface (validation, workload
+// stream, and reads the analysis surface (validation, workload
 // clustering, power model) plus the canonical gob archives back off the
 // same campaign resource. Execution is byte-compatible with the CLI: the
 // service drives the identical collector (local or distributed), so an
