@@ -65,6 +65,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -157,7 +158,11 @@ func (p *progressObserver) RunDone(core.RunKey, platform.Measurement, time.Durat
 func (p *progressObserver) RunError(key core.RunKey, err error) {
 	// Failed runs count toward N/N like completed ones — without this the
 	// progress line stalls short of the total on failing campaigns — and
-	// the lock keeps the failure line ordered against step()'s output.
+	// the lock keeps the failure line ordered against step()'s output. A
+	// cut-short run did not fail: it is one of the skipped jobs.
+	if errors.Is(err, core.ErrCutShort) {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.log.Error("run failed", "key", key.String(), "err", err)

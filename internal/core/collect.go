@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -213,11 +214,11 @@ func (e *CollectError) Unwrap() []error {
 // PlannedJob is one schedulable unit of a campaign: the workload profile
 // to run, the run key naming the (workload, cluster, frequency) point,
 // and — when the planning options carry a cache — the content-addressed
-// cache key of the measurement. The distributed coordinator
-// (internal/dist) ships PlannedJobs to remote workers; Collect feeds
-// them to its local worker pool. Either way the job list is
-// identical, which is what makes a distributed campaign bit-for-bit
-// equivalent to a local one.
+// cache key of the measurement. CollectWith's lanes simulate
+// PlannedJobs in this process or hand them to an Executor, such as the
+// distributed coordinator (internal/dist) shipping them to remote
+// workers. Either way the job list is identical, which is what makes a
+// distributed campaign bit-for-bit equivalent to a local one.
 type PlannedJob struct {
 	Profile workload.Profile
 	Key     RunKey
@@ -229,13 +230,12 @@ type PlannedJob struct {
 // PlanCampaign fills opt's defaults against pl and expands it into the
 // campaign's ordered job list. Jobs are ordered workload-major (workload,
 // then cluster, then frequency), so each workload's jobs are contiguous
-// and within them each (workload, cluster) DVFS sweep is too. Collect's
-// workers claim those runs whole — a workload group, or a sweep when the
-// campaign has fewer workloads than workers — so one SimContext sees a
-// whole sweep and reuses its expanded stream, DVFS trace and atomic
-// anchors. internal/dist still dispatches this list one job at a time.
-// The ordering never changes the collected data — runs are independent
-// and individually deterministic.
+// and within them each (workload, cluster) DVFS sweep is too.
+// CollectWith's lanes claim those runs whole — a workload group, or a
+// sweep when the campaign has fewer workloads than lanes — so a lane
+// simulating locally reuses its SimContext's expanded stream, DVFS trace
+// and atomic anchors across the sweep. The ordering never changes the
+// collected data — runs are independent and individually deterministic.
 func PlanCampaign(pl *platform.Platform, opt *CollectOptions) ([]PlannedJob, error) {
 	if err := opt.fill(pl); err != nil {
 		return nil, err
@@ -272,27 +272,69 @@ func PlanCampaign(pl *platform.Platform, opt *CollectOptions) ([]PlannedJob, err
 	return jobs, nil
 }
 
+// Executor runs a campaign's jobs somewhere other than the collecting
+// process; the distributed coordinator (internal/dist) is the one
+// implementation. It knows only how to run one job: CollectWith still
+// owns the campaign — the claim loop, the run cache, the observer
+// callbacks, the statistics and the failure bookkeeping — whoever
+// executes the runs.
+type Executor struct {
+	// Lanes is how many jobs the executor can run at once; CollectWith
+	// runs that many lanes in place of opt.Workers.
+	Lanes int
+	// Run executes job for lane and returns its measurement and
+	// simulation time. span is the lane's trace span (nil when untraced).
+	// ctx is done once the caller cancels the campaign or another run
+	// fails; an attempt cut short by it returns promptly with any error,
+	// and the job is reported skipped. ErrRunLocally makes the lane
+	// simulate the job itself, at most opt.Workers such simulations at a
+	// time; any other error fails the run.
+	Run func(ctx context.Context, lane int, job PlannedJob, span *obs.Span) (platform.Measurement, time.Duration, error)
+}
+
+// ErrRunLocally is what Executor.Run returns to hand a job back to the
+// lane that owns it, to be simulated in the collecting process.
+var ErrRunLocally = errors.New("core: run locally")
+
+// ErrCutShort is matched by the error of the RunError that ends a run
+// the campaign abandoned after its RunStart, because the campaign was
+// cancelled or another run failed; the error also matches the campaign's
+// cancellation cause. The job is reported skipped, not failed.
+var ErrCutShort = errors.New("core: run cut short")
+
 // Collect runs the campaign described by opt on pl and returns the run
 // set. It reproduces Experiment 1 (and, on sensored platforms, 3 and 4 —
 // the power data rides along with the PMU samples) or Experiment 2 when
 // pl is a gem5 model, at the simulation tier selected by opt.Fidelity.
+// It is CollectWith without an executor.
+func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*RunSet, error) {
+	return CollectWith(ctx, pl, opt, nil)
+}
+
+// CollectWith runs the campaign described by opt on pl, executing its
+// simulations through ex, or in this process when ex is nil.
 //
 // Runs are independent simulations, so the campaign fans out across
-// opt.Workers workers (GOMAXPROCS by default). A worker claims a whole
-// workload group at a time, or a whole DVFS sweep when there are fewer
-// workloads than workers (see claimBounds), so each sweep is recorded
-// once and replayed at its other points. Every run is individually
-// deterministic, so the resulting set is identical to a sequential
-// collection (TestCollectDeterministicAcrossWorkerCounts asserts this
-// byte-for-byte).
+// lanes: opt.Workers of them (GOMAXPROCS by default), or ex.Lanes. A
+// local lane claims a whole workload group at a time, or a whole DVFS
+// sweep when there are fewer workloads than lanes (see claimBounds), so
+// each sweep is recorded once and replayed at its other points. An
+// executor's lanes claim single jobs: a remote run costs one request
+// whichever lane sends it, so per-job claims keep every lane busy. Each
+// lane owns every job it claims from cache lookup to its last observer
+// callback. Every run is individually deterministic, so the resulting
+// set is identical to a sequential collection whatever the lane count
+// or executor (TestCollectDeterministicAcrossWorkerCounts asserts this
+// byte-for-byte, internal/dist's tests the distributed equivalence).
 //
 // The campaign stops early on the first run failure or when ctx is
-// cancelled: workers finish the runs already in flight and then abandon
-// the remaining jobs, the rest of their claimed units included, instead
-// of burning CPU on a doomed campaign. In both cases the returned error
-// is a *CollectError carrying the completed partial results, the failed
-// runs and the skipped jobs.
-func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*RunSet, error) {
+// cancelled: local simulations already in flight finish, executor
+// attempts in flight are cut short, and the lanes abandon the remaining
+// jobs, the rest of their claimed units included, instead of burning CPU
+// on a doomed campaign. In both cases the returned error is a
+// *CollectError carrying the completed partial results, the failed runs
+// and the skipped jobs.
+func CollectWith(ctx context.Context, pl *platform.Platform, opt CollectOptions, ex *Executor) (*RunSet, error) {
 	start := time.Now()
 	campaign := opt.Tracer.Start("collect", obs.String("platform", pl.Name()))
 	defer campaign.End()
@@ -317,25 +359,50 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	bounds := claimBounds(jobs, workers)
-	if workers > len(bounds)-1 {
-		workers = len(bounds) - 1
+	lanes := workers
+	var (
+		bounds []int
+		// local bounds the jobs an executor hands back (ErrRunLocally)
+		// to opt.Workers simulations at a time, however many lanes it has.
+		local chan struct{}
+	)
+	if ex != nil {
+		lanes = ex.Lanes
+		local = make(chan struct{}, workers)
+		bounds = make([]int, len(jobs)+1)
+		for i := range bounds {
+			bounds[i] = i
+		}
+	} else {
+		bounds = claimBounds(jobs, lanes)
 	}
-	if workers < 1 {
-		workers = 1
+	if lanes > len(bounds)-1 {
+		lanes = len(bounds) - 1
+	}
+	if lanes < 1 {
+		lanes = 1
 	}
 
+	// runCtx is done on the first failure as well as on cancellation, so
+	// lanes and executor attempts stop on either.
+	runCtx, stop := context.WithCancelCause(ctx)
+	defer stop(nil)
 	var (
 		mu     sync.Mutex // guards rs.Runs and failed
 		wg     sync.WaitGroup
 		next   atomic.Int64
-		stop   atomic.Bool // set on first failure or cancellation
 		failed []RunError
 
 		hits, sims     atomic.Int64
 		cacheNS, simNS atomic.Int64
 	)
-	for w := 0; w < workers; w++ {
+	// cutShort ends the RunStart of a job the campaign abandoned.
+	cutShort := func(key RunKey) {
+		if observer != nil {
+			observer.RunError(key, fmt.Errorf("%w: %w", ErrCutShort, context.Cause(runCtx)))
+		}
+	}
+	for w := 0; w < lanes; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -343,18 +410,18 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 			// side by side in Perfetto.
 			ws := opt.Tracer.Start("worker", obs.Int("worker", w))
 			defer ws.End()
-			// Per-worker simulation context: hierarchies, predictors, core
-			// scratch and expanded streams are reused across this worker's
-			// jobs (Reset between runs), which removes nearly all per-run
-			// allocation from the campaign.
-			sim := platform.NewSimContext(pl)
+			// Per-worker simulation context, built on first use: hierarchies,
+			// predictors, core scratch and expanded streams are reused across
+			// this worker's jobs (Reset between runs), which removes nearly
+			// all per-run allocation from the campaign.
+			var sim *platform.SimContext
 			// jobs[i:end] is what remains of the worker's claimed unit. The
 			// stop check runs before every job, not every unit, so a
 			// failure or cancellation also abandons the rest of a claimed
 			// unit; those jobs are reported skipped.
 			i, end := 0, 0
 			for {
-				if stop.Load() || ctx.Err() != nil {
+				if runCtx.Err() != nil {
 					return
 				}
 				if i == end {
@@ -395,21 +462,51 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 				if observer != nil {
 					observer.RunStart(j.Key)
 				}
-				var sp *obs.Span
-				if ws != nil {
-					sp = ws.Child("simulate", obs.String("key", j.Key.String()))
+				var (
+					m       platform.Measurement
+					elapsed time.Duration
+				)
+				err := ErrRunLocally // no executor: every job runs here
+				if ex != nil {
+					m, elapsed, err = ex.Run(runCtx, w, j, ws)
+					if err != nil && runCtx.Err() != nil {
+						// The job stays unrecorded and is reported
+						// skipped, but its RunStart still ends.
+						cutShort(j.Key)
+						return
+					}
 				}
-				t0 := time.Now()
-				m, err := sim.RunFidelity(j.Profile, j.Key.Cluster, j.Key.FreqMHz, opt.Fidelity, sp)
-				elapsed := time.Since(t0)
-				sp.End()
+				if errors.Is(err, ErrRunLocally) {
+					if local != nil {
+						select {
+						case local <- struct{}{}:
+						case <-runCtx.Done():
+							cutShort(j.Key)
+							return
+						}
+					}
+					if sim == nil {
+						sim = platform.NewSimContext(pl)
+					}
+					var sp *obs.Span
+					if ws != nil {
+						sp = ws.Child("simulate", obs.String("key", j.Key.String()))
+					}
+					t0 := time.Now()
+					m, err = sim.RunFidelity(j.Profile, j.Key.Cluster, j.Key.FreqMHz, opt.Fidelity, sp)
+					elapsed = time.Since(t0)
+					sp.End()
+					if local != nil {
+						<-local
+					}
+				}
 				simNS.Add(int64(elapsed))
 				if err != nil {
 					err = fmt.Errorf("core: collecting %s on %s: %w", j.Key, pl.Name(), err)
 					mu.Lock()
 					failed = append(failed, RunError{Key: j.Key, Err: err})
 					mu.Unlock()
-					stop.Store(true)
+					stop(err)
 					if observer != nil {
 						observer.RunError(j.Key, err)
 					}
@@ -421,7 +518,7 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 					if ws != nil {
 						sp = ws.Child("cache-put", obs.String("key", j.Key.String()))
 					}
-					t0 = time.Now()
+					t0 := time.Now()
 					opt.Cache.Put(j.CacheKey, m)
 					cacheNS.Add(int64(time.Since(t0)))
 					sp.End()
@@ -438,7 +535,7 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 	wg.Wait()
 
 	var skipped []RunKey
-	if stop.Load() || ctx.Err() != nil {
+	if runCtx.Err() != nil {
 		attempted := make(map[RunKey]bool, len(failed))
 		for _, f := range failed {
 			attempted[f.Key] = true
@@ -481,7 +578,7 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 	return rs, nil
 }
 
-// claimBounds splits the job list into the units a Collect worker claims
+// claimBounds splits the job list into the units a CollectWith lane claims
 // whole, returning each unit's first job index followed by len(jobs). The
 // unit is a workload group — the consecutive jobs of one workload across
 // all its clusters and frequencies — so one worker's SimContext expands

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"time"
 
 	"gemstone/internal/obs"
@@ -97,10 +98,13 @@ func (o *registryObserver) RunDone(_ RunKey, m platform.Measurement, simTime tim
 	o.tlbMisses.Add(float64(m.Sample.DTLB.Misses), "d")
 }
 
-// RunError implements CollectObserver.
-func (o *registryObserver) RunError(RunKey, error) {
+// RunError implements CollectObserver. A cut-short run is counted as
+// skipped by CollectDone, not as an error.
+func (o *registryObserver) RunError(_ RunKey, err error) {
 	o.inflight.Add(-1)
-	o.runs.Inc("error")
+	if !errors.Is(err, ErrCutShort) {
+		o.runs.Inc("error")
+	}
 }
 
 // CollectDone implements CollectObserver.

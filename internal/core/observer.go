@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -19,14 +20,19 @@ import (
 type CollectObserver interface {
 	// CollectStart fires once, before any run, with the campaign size.
 	CollectStart(platformName string, totalJobs int)
-	// RunStart fires when a worker begins simulating key (cache misses
-	// only — cache hits never start a simulation).
+	// RunStart fires when a lane begins simulating key, locally or
+	// through an Executor (cache misses only — cache hits never start a
+	// simulation). Exactly one RunDone or RunError follows it.
 	RunStart(key RunKey)
 	// CacheHit fires when key is served from the run cache.
 	CacheHit(key RunKey)
 	// RunDone fires when a simulation finishes, with its wall time.
 	RunDone(key RunKey, m platform.Measurement, simTime time.Duration)
-	// RunError fires when a simulation fails.
+	// RunError fires when a simulation fails. It also ends a run the
+	// campaign abandoned after its RunStart — an Executor attempt cut
+	// short by the campaign stopping — with an err matching ErrCutShort
+	// and the campaign's cancellation cause; that job is reported
+	// skipped, not failed.
 	RunError(key RunKey, err error)
 	// CollectDone fires once, after every worker has stopped, with the
 	// campaign's aggregate statistics.
@@ -144,12 +150,15 @@ func (m *Metrics) RunDone(_ RunKey, _ platform.Measurement, simTime time.Duratio
 	m.stats.SimTime += simTime
 }
 
-// RunError implements CollectObserver.
-func (m *Metrics) RunError(_ RunKey, _ error) {
+// RunError implements CollectObserver. A cut-short run is not an error:
+// CollectDone counts it as skipped.
+func (m *Metrics) RunError(_ RunKey, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.running--
-	m.stats.Errors++
+	if !errors.Is(err, ErrCutShort) {
+		m.stats.Errors++
+	}
 }
 
 // CollectDone implements CollectObserver.

@@ -22,8 +22,8 @@ import (
 // content-hashable, and it is what lets the determinism test compare a
 // parallel collection against a sequential one byte-for-byte.
 
-// runSetFormatVersion 2 replaced the version-1 map encoding with the
-// canonical sorted-slice encoding.
+// runSetFormatVersion names the canonical sorted-slice encoding;
+// LoadRunSet refuses every other version.
 const runSetFormatVersion = 2
 
 // runRecord is one archived measurement.
@@ -35,10 +35,8 @@ type runRecord struct {
 type runSetEnvelope struct {
 	Version  int
 	Platform string
-	// Records is the canonical sorted run list (format version 2).
+	// Records is the canonical sorted run list.
 	Records []runRecord
-	// Runs carries legacy version-1 archives (map-encoded RunSet).
-	Runs *RunSet
 }
 
 // sortedRecords returns the run set's canonical record order.
@@ -79,8 +77,7 @@ func SaveRunSet(w io.Writer, rs *RunSet) error {
 	return zw.Close()
 }
 
-// LoadRunSet restores a run set saved by SaveRunSet. It reads both the
-// current canonical format and legacy version-1 archives. Malformed input
+// LoadRunSet restores a run set saved by SaveRunSet. Malformed input
 // of any kind — truncation, corruption, or bytes that were never an
 // archive — returns an error, never a panic.
 func LoadRunSet(r io.Reader) (*RunSet, error) {
@@ -98,22 +95,15 @@ func LoadRunSet(r io.Reader) (*RunSet, error) {
 	if _, err := io.Copy(io.Discard, zr); err != nil {
 		return nil, fmt.Errorf("core: verifying run-set archive: %w", err)
 	}
-	switch env.Version {
-	case 1:
-		if env.Runs == nil || len(env.Runs.Runs) == 0 {
-			return nil, fmt.Errorf("core: archive contains no runs")
-		}
-		return env.Runs, nil
-	case runSetFormatVersion:
-		if len(env.Records) == 0 {
-			return nil, fmt.Errorf("core: archive contains no runs")
-		}
-		rs := &RunSet{Platform: env.Platform, Runs: make(map[RunKey]platform.Measurement, len(env.Records))}
-		for _, rec := range env.Records {
-			rs.Runs[rec.Key] = rec.M
-		}
-		return rs, nil
-	default:
+	if env.Version != runSetFormatVersion {
 		return nil, fmt.Errorf("core: unsupported run-set version %d", env.Version)
 	}
+	if len(env.Records) == 0 {
+		return nil, fmt.Errorf("core: archive contains no runs")
+	}
+	rs := &RunSet{Platform: env.Platform, Runs: make(map[RunKey]platform.Measurement, len(env.Records))}
+	for _, rec := range env.Records {
+		rs.Runs[rec.Key] = rec.M
+	}
+	return rs, nil
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/gob"
 	"strings"
 	"testing"
 
 	"gemstone/internal/hw"
+	"gemstone/internal/platform"
 )
 
 func TestRunSetSaveLoadRoundTrip(t *testing.T) {
@@ -74,5 +77,24 @@ func TestRunSetPersistErrors(t *testing.T) {
 	}
 	if _, err := LoadRunSet(strings.NewReader("junk")); err == nil {
 		t.Fatal("non-gzip input must error")
+	}
+
+	// A version-1 envelope carried the runs as a map-encoded RunSet; that
+	// format is no longer read and must be refused by name.
+	var v1 bytes.Buffer
+	zw := gzip.NewWriter(&v1)
+	legacy := struct {
+		Version  int
+		Platform string
+		Runs     *RunSet
+	}{1, "x", &RunSet{Platform: "x", Runs: map[RunKey]platform.Measurement{{Workload: "w"}: {}}}}
+	if err := gob.NewEncoder(zw).Encode(legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadRunSet(&v1); err == nil || !strings.Contains(err.Error(), "unsupported run-set version 1") {
+		t.Fatalf("version-1 archive: got %v, want an unsupported-version error", err)
 	}
 }

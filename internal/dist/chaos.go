@@ -22,12 +22,11 @@ import (
 //
 //   - Drop: the request reaches the worker and executes, but the response
 //     never arrives — the "worker did the work, coordinator never heard"
-//     case that forces lease-based reassignment and exercises the
-//     duplicate-absorption path when the retry also completes.
+//     case that forces a retry, so the job executes again elsewhere.
 //   - Duplicate: the same job is executed twice and the coordinator sees
 //     the second response — a replayed/late answer. Deterministic jobs
-//     make both answers bit-identical; record's idempotence guard must
-//     absorb the extra one.
+//     make both answers bit-identical, and the coordinator hears only
+//     one, so the job is recorded once.
 //   - Corrupt: one payload byte is flipped in flight. The digest check
 //     must catch it and the coordinator must retry elsewhere.
 //   - Delay: the response stalls by Delay, exercising lease timeouts.

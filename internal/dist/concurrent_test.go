@@ -191,7 +191,7 @@ func TestSlotPoolResizePreservesHeldSlots(t *testing.T) {
 	cancel := make(chan struct{})
 	// An old campaign holds both slots.
 	for i := 0; i < 2; i++ {
-		if !sp.acquire(cancel, nil) {
+		if !acquireSlot(sp, cancel) {
 			t.Fatalf("acquire %d failed with free slots", i)
 		}
 	}
@@ -201,7 +201,7 @@ func TestSlotPoolResizePreservesHeldSlots(t *testing.T) {
 	// held slots count against the shrunk limit.
 	c.slotsFor("http://w1", 1)
 	acquired := make(chan bool, 1)
-	go func() { acquired <- sp.acquire(cancel, nil) }()
+	go func() { acquired <- acquireSlot(sp, cancel) }()
 	for i := 0; i < 2; i++ {
 		select {
 		case <-acquired:
@@ -221,10 +221,10 @@ func TestSlotPoolResizePreservesHeldSlots(t *testing.T) {
 	sp.release()
 
 	// A waiter blocked on a full pool unblocks when cancelled.
-	if !sp.acquire(cancel, nil) {
+	if !acquireSlot(sp, cancel) {
 		t.Fatal("acquire failed on an empty pool")
 	}
-	go func() { acquired <- sp.acquire(cancel, nil) }()
+	go func() { acquired <- acquireSlot(sp, cancel) }()
 	close(cancel)
 	select {
 	case ok := <-acquired:
@@ -235,4 +235,19 @@ func TestSlotPoolResizePreservesHeldSlots(t *testing.T) {
 		t.Fatal("cancelled acquire did not return")
 	}
 	sp.release()
+}
+
+// acquireSlot blocks until sp has a free slot and takes it, or returns
+// false once cancel is closed.
+func acquireSlot(sp *slotPool, cancel <-chan struct{}) bool {
+	for !sp.tryAcquire(1) {
+		if free, wake := sp.free(); free <= 0 {
+			select {
+			case <-wake:
+			case <-cancel:
+				return false
+			}
+		}
+	}
+	return true
 }

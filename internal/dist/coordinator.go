@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -107,7 +108,6 @@ type Coordinator struct {
 	mRetries    *obs.Counter
 	mJobs       *obs.Counter
 	mHTTPErrors *obs.Counter
-	mDuplicates *obs.Counter
 
 	// seq names anonymous campaigns (Collect with an empty Name).
 	seq atomic.Int64
@@ -140,26 +140,25 @@ func newSlotPool(limit int) *slotPool {
 	return &slotPool{limit: limit, wake: make(chan struct{})}
 }
 
-// acquire blocks until a slot is free or either cancel channel is
-// closed, reporting whether the slot was taken.
-func (sp *slotPool) acquire(cancelA, cancelB <-chan struct{}) bool {
-	for {
-		sp.mu.Lock()
-		if sp.held < sp.limit {
-			sp.held++
-			sp.mu.Unlock()
-			return true
-		}
-		wake := sp.wake
-		sp.mu.Unlock()
-		select {
-		case <-wake:
-		case <-cancelA:
-			return false
-		case <-cancelB:
-			return false
-		}
+// free reports how many slots are free, with the channel that is closed
+// when that may change; both are read under one lock, so a waiter that
+// saw no free slot cannot miss the release that frees one.
+func (sp *slotPool) free() (int, <-chan struct{}) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	return sp.limit - sp.held, sp.wake
+}
+
+// tryAcquire takes a slot if at least atLeast (≥ 1) are free, reporting
+// whether it did.
+func (sp *slotPool) tryAcquire(atLeast int) bool {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if sp.limit-sp.held < atLeast {
+		return false
 	}
+	sp.held++
+	return true
 }
 
 // release returns a slot and wakes every waiter (each re-checks under
@@ -230,8 +229,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 			"Jobs finished, by execution mode.", "mode")
 		c.mHTTPErrors = reg.Counter("gemstone_dist_http_errors_total",
 			"Worker request failures, by kind.", "kind")
-		c.mDuplicates = reg.Counter("gemstone_dist_duplicates_total",
-			"Responses discarded because the job had already been recorded.")
 	}
 	return c
 }
@@ -442,6 +439,11 @@ func (c *Coordinator) hello(ctx context.Context, base string) (Hello, error) {
 // platform cannot be named over the wire — it degrades to pure-local
 // execution with no error.
 //
+// The campaign itself — claiming, the run cache, observer callbacks,
+// statistics and failure bookkeeping — is core.CollectWith's; the
+// coordinator is its Executor, with one lane per slot of advertised
+// worker capacity (see campaign.run).
+//
 // opt.Name names the campaign: the name keys the campaign's leases and
 // appears in coordinator logging, so a service scheduling concurrent
 // campaigns (gemstone serve) can attribute in-flight work to the tenant
@@ -452,29 +454,16 @@ func (c *Coordinator) hello(ctx context.Context, base string) (Hello, error) {
 // (per-worker capacity is enforced fleet-wide, so overlapping campaigns
 // queue for slots instead of overloading workers).
 func (c *Coordinator) Collect(ctx context.Context, pl *platform.Platform, opt core.CollectOptions) (*core.RunSet, error) {
-	name := opt.Name
-	if name == "" {
-		name = fmt.Sprintf("campaign-%d", c.seq.Add(1))
+	if opt.Name == "" {
+		opt.Name = fmt.Sprintf("campaign-%d", c.seq.Add(1))
 	}
-	start := time.Now()
-	root := opt.Tracer.Start("collect",
-		obs.String("platform", pl.Name()), obs.String("campaign", name),
-		obs.Bool("distributed", true))
-	defer root.End()
-	planSpan := root.Child("plan")
-	jobs, err := core.PlanCampaign(pl, &opt)
-	planSpan.Annotate(obs.Int("jobs", len(jobs)))
-	planSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	planTime := time.Since(start)
-
+	// The probe precedes the campaign's CollectStart, so an observer's
+	// clock starts once the fleet is known.
 	spec, ok := SpecFor(pl)
-	probeSpan := root.Child("probe", obs.Int("workers", len(c.cfg.Workers)))
+	probeSpan := opt.Tracer.Start("probe", obs.String("platform", pl.Name()),
+		obs.String("campaign", opt.Name), obs.Int("workers", len(c.cfg.Workers)))
 	conns := c.probe(ctx)
 	probeSpan.Annotate(obs.Int("alive", len(conns)))
-	probeSpan.End()
 	if !ok || len(conns) == 0 {
 		reason := "no workers available"
 		if !ok {
@@ -485,435 +474,199 @@ func (c *Coordinator) Collect(ctx context.Context, pl *platform.Platform, opt co
 		c.mu.Lock()
 		c.degraded++
 		c.mu.Unlock()
-		// End the distributed root before delegating: the local collector
-		// starts its own fully-detailed "collect" root, and this span
-		// should cover only the planning and probing that preceded the
-		// degradation decision.
-		root.Annotate(obs.Bool("degraded", true), obs.String("reason", reason))
-		root.End()
+		probeSpan.Annotate(obs.Bool("degraded", true), obs.String("reason", reason))
+		probeSpan.End()
 		return core.Collect(ctx, pl, opt)
 	}
+	probeSpan.End()
 
 	cp := &campaign{
-		c:        c,
-		id:       name,
-		ctx:      ctx,
-		pl:       pl,
-		opt:      &opt,
-		span:     root,
-		jobs:     jobs,
-		ids:      make([]string, len(jobs)),
-		spec:     spec,
-		fp:       pl.Config().Fingerprint(),
-		conns:    conns,
-		pending:  make(chan int, len(jobs)),
-		local:    make(chan int, len(jobs)),
-		done:     make(chan struct{}),
-		stopCh:   make(chan struct{}),
-		runs:     make(map[core.RunKey]platform.Measurement, len(jobs)),
-		attempts: make([]int, len(jobs)),
-		started:  make([]bool, len(jobs)),
-		rng:      xrand.New(c.cfg.Seed),
+		c:     c,
+		pl:    pl,
+		opt:   opt,
+		spec:  spec,
+		fp:    pl.Config().Fingerprint(),
+		conns: conns,
+		rng:   xrand.New(c.cfg.Seed),
 	}
-	for i, j := range jobs {
-		if j.CacheKey != "" {
-			cp.ids[i] = j.CacheKey
-			continue
-		}
-		id, err := core.CacheKeyFidelity(pl, j.Profile, j.Key.Cluster, j.Key.FreqMHz, opt.Fidelity)
-		if err != nil {
-			return nil, err
-		}
-		cp.ids[i] = id
+	lanes := 0
+	for _, w := range conns {
+		lanes += max(w.capacity, 1)
 	}
-	return cp.run(start, planTime)
+	opt.Observer = core.MultiObserver(opt.Observer, cp)
+	return core.CollectWith(ctx, pl, opt, &core.Executor{Lanes: lanes, Run: cp.run})
 }
 
-// campaign is the per-Collect state machine. Job ownership is structural:
-// an index lives in exactly one place at a time — the pending channel, the
-// local channel, a retry timer, or a dispatch in flight — so the buffered
-// channels never block and a job can never run twice concurrently on the
-// coordinator's initiative. (Duplicate *responses* — chaos or a worker
-// answering after its lease expired — are absorbed by record's idempotence
-// guard instead.)
+// campaign is one Collect's executor state: the probed fleet and the
+// retry jitter source. Each job is owned by the core lane that claimed it
+// for its whole life, so nothing here tracks which jobs are done.
 type campaign struct {
 	c     *Coordinator
-	id    string // lease-table key prefix and log tag
-	ctx   context.Context
 	pl    *platform.Platform
-	opt   *core.CollectOptions
-	span  *obs.Span // campaign root; nil-safe like the whole span API
-	jobs  []core.PlannedJob
-	ids   []string
+	opt   core.CollectOptions
 	spec  PlatformSpec
 	fp    string
 	conns []*workerConn
 
-	pending chan int
-	local   chan int
-	done    chan struct{}
-
-	remaining atomic.Int64
-	stop      atomic.Bool
-	stopCh    chan struct{} // closed by fail; wakes every blocked loop
-	stopOnce  sync.Once
-	drainOnce sync.Once
-
-	mu      sync.Mutex
-	runs    map[core.RunKey]platform.Measurement
-	failed  []core.RunError
-	started []bool
-
-	attempts []int // guarded by mu
-
-	hits, remote, localRuns, dups atomic.Int64
-	simNS, cacheNS                atomic.Int64
+	remote atomic.Int64 // jobs completed by a worker
 
 	rngMu sync.Mutex
 	rng   *xrand.RNG
 }
 
-func (cp *campaign) observer() core.CollectObserver { return cp.opt.Observer }
-
-func (cp *campaign) run(start time.Time, planTime time.Duration) (*core.RunSet, error) {
-	if obsv := cp.observer(); obsv != nil {
-		obsv.CollectStart(cp.pl.Name(), len(cp.jobs))
+// run is the campaign's core.Executor: it runs job on a live worker with
+// a free slot (see acquire), retrying after each retryable failure with
+// jittered backoff in between, and hands the job back to its lane
+// (core.ErrRunLocally) once MaxAttempts attempts have failed or no worker
+// is live. A simulation failure is terminal and returned as is. An
+// attempt cut short by ctx charges no worker.
+func (cp *campaign) run(ctx context.Context, lane int, j core.PlannedJob, span *obs.Span) (platform.Measurement, time.Duration, error) {
+	id := j.CacheKey
+	if id == "" {
+		var err error
+		if id, err = core.CacheKeyFidelity(cp.pl, j.Profile, j.Key.Cluster, j.Key.FreqMHz, cp.opt.Fidelity); err != nil {
+			return platform.Measurement{}, 0, err
+		}
 	}
-	cp.remaining.Store(int64(len(cp.jobs)))
+	for attempt := 1; ; {
+		w, err := cp.acquire(ctx, lane, attempt, span)
+		if err != nil {
+			return platform.Measurement{}, 0, err
+		}
+		if w == nil {
+			return platform.Measurement{}, 0, core.ErrRunLocally
+		}
+		if !w.alive.Load() {
+			// Benched after acquire saw it live: try another worker
+			// without burning an attempt.
+			w.slots.release()
+			continue
+		}
+		m, simTime, err := cp.dispatch(ctx, w, j, id, span)
+		w.slots.release()
+		if err == nil || isTerminal(err) {
+			return m, simTime, err
+		}
+		if ctx.Err() != nil {
+			return platform.Measurement{}, 0, context.Cause(ctx)
+		}
 
-	// Cache pass: hits complete immediately, misses queue for dispatch.
-	cacheSpan := cp.span.Child("cache-pass")
-	for i := range cp.jobs {
-		if cp.opt.Cache != nil {
-			t0 := time.Now()
-			m, ok := cp.opt.Cache.Get(cp.ids[i])
-			cp.cacheNS.Add(int64(time.Since(t0)))
-			if ok {
-				cp.hits.Add(1)
-				if cp.c.mJobs != nil {
-					cp.c.mJobs.Inc("cache")
-				}
-				if obsv := cp.observer(); obsv != nil {
-					obsv.CacheHit(cp.jobs[i].Key)
-				}
-				cp.mu.Lock()
-				cp.runs[cp.jobs[i].Key] = m
-				cp.mu.Unlock()
-				cp.finish()
+		// Retryable failure: charge the worker, then retry elsewhere.
+		cp.noteWorkerFailure(w, err)
+		if cp.c.mRetries != nil {
+			cp.c.mRetries.Inc()
+		}
+		cp.c.logf().Warn("remote attempt failed",
+			"campaign", cp.opt.Name, "job", j.Key.String(),
+			"worker", w.base, "attempt", attempt, "err", err)
+		if attempt >= cp.c.cfg.MaxAttempts {
+			return platform.Measurement{}, 0, core.ErrRunLocally
+		}
+		delay := time.NewTimer(cp.backoff(attempt))
+		select {
+		case <-delay.C:
+		case <-ctx.Done():
+			delay.Stop()
+			return platform.Measurement{}, 0, context.Cause(ctx)
+		}
+		attempt++
+	}
+}
+
+// acquire takes a fleet-shared request slot for a lane's attempt, so no
+// worker sees more in-flight requests than it advertised however many
+// campaigns dispatch to it. It takes the slot on the live worker with
+// the most free slots, ties going to the first at or after worker lane
+// (shifted by one per earlier attempt), which spreads lanes, retries and
+// concurrent campaigns across the fleet. It blocks only while every live
+// worker is full, and returns a nil worker when none is live, or ctx's
+// cause once ctx is done — the campaign was cancelled or another run
+// failed.
+func (cp *campaign) acquire(ctx context.Context, lane, attempt int, span *obs.Span) (*workerConn, error) {
+	wait := span.Child("slot-wait")
+	defer wait.End()
+	if cp.c.mQueue != nil {
+		cp.c.mQueue.Add(1)
+		defer cp.c.mQueue.Add(-1)
+	}
+	n := len(cp.conns)
+	for {
+		var (
+			best     *workerConn
+			bestFree int
+			wakes    []reflect.SelectCase
+		)
+		for k := 0; k < n; k++ {
+			w := cp.conns[(lane+attempt-1+k)%n]
+			if !w.alive.Load() {
 				continue
 			}
-		}
-		cp.pending <- i
-	}
-	cacheSpan.Annotate(obs.Int64("hits", cp.hits.Load()))
-	cacheSpan.End()
-	cp.setQueueGauge()
-
-	var wg sync.WaitGroup
-	for _, w := range cp.conns {
-		for s := 0; s < w.capacity; s++ {
-			wg.Add(1)
-			go func(w *workerConn, slot int) {
-				defer wg.Done()
-				cp.workerLoop(w, slot)
-			}(w, s)
-		}
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		cp.localLoop()
-	}()
-	wg.Wait()
-	cp.setQueueGauge()
-
-	rs := &core.RunSet{Platform: cp.pl.Name(), Runs: cp.runs}
-	cp.mu.Lock()
-	failed := cp.failed
-	cp.mu.Unlock()
-	failedKeys := make(map[core.RunKey]bool, len(failed))
-	for _, re := range failed {
-		failedKeys[re.Key] = true
-	}
-	var skipped []core.RunKey
-	for _, j := range cp.jobs {
-		if _, ok := cp.runs[j.Key]; !ok && !failedKeys[j.Key] {
-			skipped = append(skipped, j.Key)
-		}
-	}
-
-	stats := core.CollectStats{
-		Platform:  cp.pl.Name(),
-		Jobs:      len(cp.jobs),
-		Simulated: int(cp.remote.Load() + cp.localRuns.Load()),
-		CacheHits: int(cp.hits.Load()),
-		Errors:    len(failed),
-		Skipped:   len(skipped),
-		PlanTime:  planTime,
-		CacheTime: time.Duration(cp.cacheNS.Load()),
-		SimTime:   time.Duration(cp.simNS.Load()),
-		WallTime:  time.Since(start),
-	}
-	if obsv := cp.observer(); obsv != nil {
-		obsv.CollectDone(stats)
-	}
-	cp.c.logf().Info("distributed campaign done",
-		"campaign", cp.id,
-		"platform", stats.Platform, "jobs", stats.Jobs,
-		"remote", cp.remote.Load(), "local", cp.localRuns.Load(),
-		"cache_hits", stats.CacheHits, "duplicates", cp.dups.Load(),
-		"errors", stats.Errors, "wall", stats.WallTime.Round(time.Millisecond).String())
-
-	if len(failed) > 0 || cp.ctx.Err() != nil {
-		return nil, &core.CollectError{
-			Platform: cp.pl.Name(),
-			Failed:   failed,
-			Skipped:  skipped,
-			Cause:    context.Cause(cp.ctx),
-			Partial:  rs,
-		}
-	}
-	return rs, nil
-}
-
-func (cp *campaign) setQueueGauge() {
-	if cp.c.mQueue != nil {
-		cp.c.mQueue.Set(float64(len(cp.pending)))
-	}
-}
-
-// finish marks one job complete; the last one releases every loop.
-func (cp *campaign) finish() {
-	if cp.remaining.Add(-1) == 0 {
-		close(cp.done)
-	}
-}
-
-// record stores a measurement exactly once, reporting whether this call
-// was the one that stored it. The duplicate guard makes completion
-// idempotent: a chaos-duplicated response, or a worker answering after
-// its lease expired and the job was reassigned, is counted and discarded
-// instead of double-finishing the campaign. Both executions of a
-// deterministic job carry identical bits, so dropping either copy
-// preserves the equivalence contract — and callers drop the duplicate's
-// trace spans on the same signal, so a job never renders twice.
-func (cp *campaign) record(i int, m platform.Measurement, simTime time.Duration, mode string) bool {
-	key := cp.jobs[i].Key
-	cp.mu.Lock()
-	if _, dup := cp.runs[key]; dup {
-		cp.mu.Unlock()
-		cp.dups.Add(1)
-		if cp.c.mDuplicates != nil {
-			cp.c.mDuplicates.Inc()
-		}
-		return false
-	}
-	cp.runs[key] = m
-	cp.mu.Unlock()
-
-	switch mode {
-	case "remote":
-		cp.remote.Add(1)
-	case "local":
-		cp.localRuns.Add(1)
-	}
-	if cp.c.mJobs != nil {
-		cp.c.mJobs.Inc(mode)
-	}
-	cp.simNS.Add(int64(simTime))
-	if cp.opt.Cache != nil {
-		t0 := time.Now()
-		cp.opt.Cache.Put(cp.ids[i], m)
-		cp.cacheNS.Add(int64(time.Since(t0)))
-	}
-	if obsv := cp.observer(); obsv != nil {
-		obsv.RunDone(key, m, simTime)
-	}
-	cp.finish()
-	return true
-}
-
-// fail records a terminal run failure and stops the campaign, mirroring
-// core.Collect's fail-fast: the remaining jobs become skipped.
-func (cp *campaign) fail(i int, err error) {
-	re := core.RunError{Key: cp.jobs[i].Key, Err: err}
-	cp.mu.Lock()
-	cp.failed = append(cp.failed, re)
-	cp.mu.Unlock()
-	cp.stop.Store(true)
-	cp.stopOnce.Do(func() { close(cp.stopCh) })
-	if obsv := cp.observer(); obsv != nil {
-		obsv.RunError(re.Key, err)
-	}
-}
-
-// runStartOnce fires the observer's RunStart exactly once per job, however
-// many attempts it takes.
-func (cp *campaign) runStartOnce(i int) {
-	cp.mu.Lock()
-	first := !cp.started[i]
-	cp.started[i] = true
-	cp.mu.Unlock()
-	if first {
-		if obsv := cp.observer(); obsv != nil {
-			obsv.RunStart(cp.jobs[i].Key)
-		}
-	}
-}
-
-func (cp *campaign) aliveWorkers() int {
-	n := 0
-	for _, w := range cp.conns {
-		if w.alive.Load() {
-			n++
-		}
-	}
-	return n
-}
-
-// workerLoop pulls pending jobs and dispatches them to one worker slot.
-// When tracing, the slot owns a root span for the campaign's duration:
-// per-dispatch children render on its lane, and the worker's own spans
-// (imported under the worker's pid) nest inside the dispatch window.
-func (cp *campaign) workerLoop(w *workerConn, slot int) {
-	ws := cp.opt.Tracer.Start("slot",
-		obs.String("worker", w.base), obs.Int("slot", slot))
-	defer ws.End()
-	for {
-		if cp.stop.Load() || !w.alive.Load() {
-			return
-		}
-		select {
-		case <-cp.done:
-			return
-		case <-cp.stopCh:
-			return
-		case <-cp.ctx.Done():
-			return
-		case i := <-cp.pending:
-			cp.setQueueGauge()
-			if cp.stop.Load() {
-				return
+			free, wake := w.slots.free()
+			if free > bestFree {
+				best, bestFree = w, free
 			}
-			if !w.alive.Load() {
-				// This slot was benched while blocked on the queue; hand
-				// the job back without burning an attempt.
-				cp.reroute(i)
-				return
+			wakes = append(wakes, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(wake)})
+		}
+		switch {
+		case len(wakes) == 0:
+			return nil, nil
+		case best != nil:
+			// Only if no lane took one of its slots since the scan: two lanes
+			// choosing at once must not both land on one worker.
+			if best.slots.tryAcquire(bestFree) {
+				return best, nil
 			}
-			// Acquire a fleet-shared capacity slot before dispatching:
-			// concurrent campaigns contend here, so the worker never sees
-			// more in-flight requests than it advertised. The slot is
-			// taken only while a job is in hand (never while idling on the
-			// queue), so an idle campaign cannot starve a busy one.
-			waitSpan := ws.Child("slot-wait")
-			if !w.slots.acquire(cp.stopCh, cp.ctx.Done()) {
-				waitSpan.End()
-				return // campaign is failing or cancelled; i becomes a skipped job
-			}
-			waitSpan.End()
-			cp.dispatch(w, i, ws)
-			w.slots.release()
+			continue
+		}
+		wakes = append(wakes, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ctx.Done())})
+		if i, _, _ := reflect.Select(wakes); i == len(wakes)-1 {
+			return nil, context.Cause(ctx)
 		}
 	}
 }
 
-// reroute sends a job to another live worker, or to the local lane when
-// none remain.
-func (cp *campaign) reroute(i int) {
-	if cp.aliveWorkers() == 0 {
-		cp.local <- i
-		return
-	}
-	cp.pending <- i
-	cp.setQueueGauge()
-}
-
-// dispatch runs one remote attempt of job i on w and routes the outcome:
-// success records, a terminal (simulation) failure stops the campaign, and
-// a transport/server failure reschedules with exponential backoff and
-// jitter — to any live worker, or locally once attempts are exhausted.
-// ws is the slot's trace span (nil when untraced); the dispatch child it
-// opens is the local-side window the worker's returned spans are clamped
-// into, so a stitched trace nests worker activity inside the dispatch
-// that provably contained it.
-func (cp *campaign) dispatch(w *workerConn, i int, ws *obs.Span) {
-	cp.runStartOnce(i)
+// dispatch runs one remote attempt of job j (wire ID id) on w under a
+// lease. span is the lane's trace span (nil when untraced); the dispatch
+// child it opens is the local-side window the worker's returned spans
+// are clamped into, so a stitched trace nests worker activity inside the
+// dispatch that provably contained it.
+func (cp *campaign) dispatch(ctx context.Context, w *workerConn, j core.PlannedJob, id string, span *obs.Span) (platform.Measurement, time.Duration, error) {
 	var dspan *obs.Span
-	if ws != nil {
-		dspan = ws.Child("dispatch", obs.String("job", cp.jobs[i].Key.String()))
+	if span != nil {
+		dspan = span.Child("dispatch", obs.String("job", j.Key.String()), obs.String("worker", w.base))
 	}
-	cp.c.leaseAcquire(cp.id, cp.ids[i], w.base)
-	m, simSec, batch, err := cp.runRemote(w, i)
-	cp.c.leaseRelease(cp.id, cp.ids[i])
-
-	if err == nil {
-		w.fails.Store(0)
-		st := cp.c.workerStat(w.base)
-		cp.c.mu.Lock()
-		st.Jobs++
-		cp.c.mu.Unlock()
-		fresh := cp.record(i, m, time.Duration(simSec*float64(time.Second)), "remote")
-		dspan.Annotate(obs.Bool("recorded", fresh))
+	cp.c.leaseAcquire(cp.opt.Name, id, w.base)
+	m, simSec, batch, err := cp.runRemote(ctx, w, j, id)
+	cp.c.leaseRelease(cp.opt.Name, id)
+	if err != nil {
+		dspan.Annotate(obs.String("error", err.Error()))
 		dspan.End()
-		// Import the worker's spans only for the response that actually
-		// recorded: a duplicate completion (chaos, or a worker answering
-		// after its lease expired) must not render the job twice.
-		if fresh && batch != nil {
-			cp.opt.Tracer.ImportProcess("worker "+w.base,
-				batch.spans, batch.offset, batch.lo, batch.hi)
-		}
-		return
+		return m, 0, err
 	}
-
-	if isTerminal(err) {
-		dspan.Annotate(obs.String("error", "terminal"))
-		dspan.End()
-		cp.fail(i, err)
-		return
-	}
-
-	// Retryable failure: charge the worker and the job, then reschedule.
-	dspan.Annotate(obs.String("error", "retry"))
 	dspan.End()
-	cp.noteWorkerFailure(w, err)
-	if cp.c.mRetries != nil {
-		cp.c.mRetries.Inc()
+	w.fails.Store(0)
+	cp.remote.Add(1)
+	st := cp.c.workerStat(w.base)
+	cp.c.mu.Lock()
+	st.Jobs++
+	cp.c.mu.Unlock()
+	if cp.c.mJobs != nil {
+		cp.c.mJobs.Inc("remote")
 	}
-	cp.mu.Lock()
-	cp.attempts[i]++
-	n := cp.attempts[i]
-	cp.mu.Unlock()
-	cp.c.logf().Warn("remote attempt failed",
-		"campaign", cp.id, "job", cp.jobs[i].Key.String(),
-		"worker", w.base, "attempt", n, "err", err)
-
-	if n >= cp.c.cfg.MaxAttempts || cp.aliveWorkers() == 0 {
-		cp.local <- i
-		return
+	if batch != nil {
+		cp.opt.Tracer.ImportProcess("worker "+w.base, batch.spans, batch.offset, batch.lo, batch.hi)
 	}
-	delay := cp.backoff(n)
-	time.AfterFunc(delay, func() {
-		if cp.stop.Load() {
-			return
-		}
-		select {
-		case <-cp.done:
-			return
-		case <-cp.ctx.Done():
-			return
-		default:
-		}
-		cp.pending <- i
-		cp.setQueueGauge()
-	})
+	return m, time.Duration(simSec * float64(time.Second)), nil
 }
 
 // noteWorkerFailure charges a failed attempt to w; deadAfter consecutive
-// failures bench it for the rest of the campaign. When the last live
-// worker is benched, a drainer moves queued jobs to the local lane so
-// nothing starves waiting for workers that will never answer.
+// failures bench it for the rest of the campaign, and once every worker
+// is benched the lanes simulate locally.
 func (cp *campaign) noteWorkerFailure(w *workerConn, err error) {
+	var re *remoteError
+	if errors.As(err, &re) && cp.c.mHTTPErrors != nil {
+		cp.c.mHTTPErrors.Inc(re.kind)
+	}
 	st := cp.c.workerStat(w.base)
 	cp.c.mu.Lock()
 	st.Retries++
@@ -931,75 +684,6 @@ func (cp *campaign) noteWorkerFailure(w *workerConn, err error) {
 	st.Alive = false
 	cp.c.mu.Unlock()
 	cp.c.logf().Warn("worker benched for this campaign", "worker", w.base, "err", err)
-	if cp.aliveWorkers() == 0 {
-		cp.drainOnce.Do(func() { go cp.drainToLocal() })
-	}
-}
-
-// drainToLocal forwards every queued job to the local lane once no worker
-// remains alive.
-func (cp *campaign) drainToLocal() {
-	for {
-		select {
-		case <-cp.done:
-			return
-		case <-cp.stopCh:
-			return
-		case <-cp.ctx.Done():
-			return
-		case i := <-cp.pending:
-			if cp.stop.Load() {
-				return
-			}
-			cp.local <- i
-		}
-	}
-}
-
-// localLoop is the coordinator-side fallback lane: jobs whose remote
-// attempts are exhausted (or that lost every worker) simulate here on a
-// reused SimContext, exactly as a local campaign would.
-func (cp *campaign) localLoop() {
-	ls := cp.opt.Tracer.Start("local-lane")
-	defer ls.End()
-	var sim *platform.SimContext // built on first use
-	for {
-		if cp.stop.Load() {
-			return
-		}
-		select {
-		case <-cp.done:
-			return
-		case <-cp.stopCh:
-			return
-		case <-cp.ctx.Done():
-			return
-		case i := <-cp.local:
-			if cp.stop.Load() {
-				return
-			}
-			cp.runStartOnce(i)
-			if sim == nil {
-				sim = platform.NewSimContext(cp.pl)
-			}
-			j := cp.jobs[i]
-			// Attribute strings are built only when tracing (ls non-nil):
-			// the key format allocates, and untraced campaigns must stay
-			// allocation-free on this path.
-			var sp *obs.Span
-			if ls != nil {
-				sp = ls.Child("simulate", obs.String("key", j.Key.String()))
-			}
-			t0 := time.Now()
-			m, err := sim.RunFidelity(j.Profile, j.Key.Cluster, j.Key.FreqMHz, cp.opt.Fidelity, sp)
-			sp.End()
-			if err != nil {
-				cp.fail(i, err)
-				return
-			}
-			cp.record(i, m, time.Since(t0), "local")
-		}
-	}
 }
 
 // backoff computes the jittered delay before attempt n+1.
@@ -1014,10 +698,32 @@ func (cp *campaign) backoff(n int) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
+// CollectDone implements core.CollectObserver: it folds the campaign's
+// cache hits and local runs into gemstone_dist_jobs_total (remote jobs
+// are counted as they complete) and logs the campaign.
+func (cp *campaign) CollectDone(s core.CollectStats) {
+	remote := int(cp.remote.Load())
+	if cp.c.mJobs != nil {
+		cp.c.mJobs.Add(float64(s.CacheHits), "cache")
+		cp.c.mJobs.Add(float64(s.Simulated-remote), "local")
+	}
+	cp.c.logf().Info("distributed campaign done",
+		"campaign", cp.opt.Name, "platform", s.Platform, "jobs", s.Jobs,
+		"remote", remote, "local", s.Simulated-remote, "cache_hits", s.CacheHits,
+		"errors", s.Errors, "wall", s.WallTime.Round(time.Millisecond).String())
+}
+
+// The campaign observes only its CollectDone.
+func (cp *campaign) CollectStart(string, int)                                 {}
+func (cp *campaign) RunStart(core.RunKey)                                     {}
+func (cp *campaign) CacheHit(core.RunKey)                                     {}
+func (cp *campaign) RunDone(core.RunKey, platform.Measurement, time.Duration) {}
+func (cp *campaign) RunError(core.RunKey, error)                              {}
+
 // remoteError is a retryable worker-request failure, tagged for the
 // gemstone_dist_http_errors_total metric.
 type remoteError struct {
-	kind string // conn | status | decode | proto | misroute | digest
+	kind string // encode | conn | lease-expired | status | decode | proto | misroute | digest
 	err  error
 }
 
@@ -1046,7 +752,7 @@ type workerSpanBatch struct {
 	lo, hi time.Time
 }
 
-// runRemote performs one HTTP attempt of job i against w under the lease
+// runRemote performs one HTTP attempt of job j against w under the lease
 // timeout, verifying protocol version, job identity and payload digest
 // before trusting the measurement. When the job was traced and the worker
 // returned spans, the non-nil batch carries them with a clock-offset
@@ -1059,11 +765,10 @@ type workerSpanBatch struct {
 // the importer additionally clamps every span into [t0, t1] — worker
 // spans can therefore never escape the dispatch span that contains them,
 // whatever the skew (including negative offsets).
-func (cp *campaign) runRemote(w *workerConn, i int) (platform.Measurement, float64, *workerSpanBatch, error) {
-	j := cp.jobs[i]
+func (cp *campaign) runRemote(ctx context.Context, w *workerConn, j core.PlannedJob, id string) (platform.Measurement, float64, *workerSpanBatch, error) {
 	job := Job{
 		Proto:      ProtoVersion,
-		ID:         cp.ids[i],
+		ID:         id,
 		Spec:       cp.spec,
 		PlatformFP: cp.fp,
 		Profile:    j.Profile,
@@ -1073,22 +778,22 @@ func (cp *campaign) runRemote(w *workerConn, i int) (platform.Measurement, float
 	}
 	if tc := cp.opt.Trace; tc.Correlated() || cp.opt.Tracer.Enabled() {
 		if tc.Campaign == "" {
-			tc.Campaign = cp.id
+			tc.Campaign = cp.opt.Name
 		}
-		tc.Job = cp.ids[i]
+		tc.Job = id
 		tc.Parent = "dispatch"
 		tc.Record = cp.opt.Tracer.Enabled()
 		job.Trace = tc
 	}
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(job); err != nil {
-		return platform.Measurement{}, 0, nil, cp.httpErr("encode", err)
+		return platform.Measurement{}, 0, nil, &remoteError{"encode", err}
 	}
-	ctx, cancel := context.WithTimeout(cp.ctx, cp.c.cfg.RunTimeout)
+	ctx, cancel := context.WithTimeout(ctx, cp.c.cfg.RunTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+PathRun, bytes.NewReader(body.Bytes()))
 	if err != nil {
-		return platform.Measurement{}, 0, nil, cp.httpErr("encode", err)
+		return platform.Measurement{}, 0, nil, &remoteError{"encode", err}
 	}
 	req.Header.Set("Content-Type", contentType)
 
@@ -1099,7 +804,7 @@ func (cp *campaign) runRemote(w *workerConn, i int) (platform.Measurement, float
 		if ctx.Err() == context.DeadlineExceeded {
 			kind = "lease-expired"
 		}
-		return platform.Measurement{}, 0, nil, cp.httpErr(kind, err)
+		return platform.Measurement{}, 0, nil, &remoteError{kind, err}
 	}
 	defer func() {
 		_, _ = io.Copy(io.Discard, resp.Body)
@@ -1114,26 +819,26 @@ func (cp *campaign) runRemote(w *workerConn, i int) (platform.Measurement, float
 		return platform.Measurement{}, 0, nil, &simFailedError{msg: strings.TrimSpace(string(msg))}
 	default:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return platform.Measurement{}, 0, nil, cp.httpErr("status",
-			fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(msg))))
+		return platform.Measurement{}, 0, nil, &remoteError{"status",
+			fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(msg)))}
 	}
 
 	var res RunResult
 	if err := gob.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return platform.Measurement{}, 0, nil, cp.httpErr("decode", err)
+		return platform.Measurement{}, 0, nil, &remoteError{"decode", err}
 	}
 	recvT := time.Now()
 	if res.Proto != ProtoVersion {
-		return platform.Measurement{}, 0, nil, cp.httpErr("proto",
-			fmt.Errorf("result protocol %d, want %d", res.Proto, ProtoVersion))
+		return platform.Measurement{}, 0, nil, &remoteError{"proto",
+			fmt.Errorf("result protocol %d, want %d", res.Proto, ProtoVersion)}
 	}
 	if res.ID != job.ID {
-		return platform.Measurement{}, 0, nil, cp.httpErr("misroute",
-			fmt.Errorf("result for %s, want %s", res.ID, job.ID))
+		return platform.Measurement{}, 0, nil, &remoteError{"misroute",
+			fmt.Errorf("result for %s, want %s", res.ID, job.ID)}
 	}
 	m, err := res.Measurement()
 	if err != nil {
-		return platform.Measurement{}, 0, nil, cp.httpErr("digest", err)
+		return platform.Measurement{}, 0, nil, &remoteError{"digest", err}
 	}
 	var batch *workerSpanBatch
 	if len(res.Spans) > 0 && res.RecvUnixNano != 0 && res.DoneUnixNano != 0 {
@@ -1143,11 +848,4 @@ func (cp *campaign) runRemote(w *workerConn, i int) (platform.Measurement, float
 		batch = &workerSpanBatch{spans: res.Spans, offset: offset, lo: sendT, hi: recvT}
 	}
 	return m, res.SimSeconds, batch, nil
-}
-
-func (cp *campaign) httpErr(kind string, err error) error {
-	if cp.c.mHTTPErrors != nil {
-		cp.c.mHTTPErrors.Inc(kind)
-	}
-	return &remoteError{kind: kind, err: err}
 }

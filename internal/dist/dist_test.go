@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -316,6 +318,253 @@ func TestCancellationCause(t *testing.T) {
 	}
 }
 
+// runCounter is a CollectObserver counting run starts and their ends.
+// runCounter counts a campaign's run callbacks, the RunErrors among
+// them that mark a cut-short run, and feeds the same callbacks to a
+// core.Metrics.
+type runCounter struct {
+	starts, dones, errs, cut atomic.Int64
+	metrics                  *core.Metrics
+	stats                    core.CollectStats // as passed to CollectDone
+}
+
+func newRunCounter() *runCounter { return &runCounter{metrics: core.NewMetrics()} }
+
+func (r *runCounter) CollectStart(p string, n int) { r.metrics.CollectStart(p, n) }
+func (r *runCounter) RunStart(k core.RunKey) {
+	r.starts.Add(1)
+	r.metrics.RunStart(k)
+}
+func (r *runCounter) CacheHit(k core.RunKey) { r.metrics.CacheHit(k) }
+func (r *runCounter) RunDone(k core.RunKey, m platform.Measurement, d time.Duration) {
+	r.dones.Add(1)
+	r.metrics.RunDone(k, m, d)
+}
+func (r *runCounter) RunError(k core.RunKey, err error) {
+	r.errs.Add(1)
+	if errors.Is(err, core.ErrCutShort) {
+		r.cut.Add(1)
+	}
+	r.metrics.RunError(k, err)
+}
+func (r *runCounter) CollectDone(s core.CollectStats) {
+	r.stats = s
+	r.metrics.CollectDone(s)
+}
+
+// check asserts that every RunStart ended and that core.Metrics, fed the
+// same callbacks, counts what the campaign's CollectStats does.
+func (r *runCounter) check(t *testing.T, path string) {
+	t.Helper()
+	if s, d, e := r.starts.Load(), r.dones.Load(), r.errs.Load(); s != d+e {
+		t.Errorf("%s: %d RunStart, %d RunDone + %d RunError", path, s, d, e)
+	}
+	got, want := r.metrics.Stats(), r.stats
+	if got.Jobs != want.Jobs || got.Simulated != want.Simulated || got.CacheHits != want.CacheHits ||
+		got.Errors != want.Errors || got.Skipped != want.Skipped {
+		t.Errorf("%s: Metrics.Stats() = %+v, CollectStats = %+v", path, got, want)
+	}
+}
+
+// cancelledRemoteCampaign runs a two-job distributed campaign against one
+// worker whose /v1/run sleeps 200 ms, cancelling the campaign 100 ms
+// into the first remote attempt, so every attempt is cut short in flight.
+func cancelledRemoteCampaign(t *testing.T) (*Coordinator, *obs.Registry, *runCounter, string) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	srv := startWorker(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, PathRun) {
+				once.Do(func() { time.AfterFunc(100*time.Millisecond, cancel) })
+				time.Sleep(200 * time.Millisecond)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	reg := obs.NewRegistry()
+	coord := NewCoordinator(CoordinatorConfig{
+		Workers:     []string{srv.URL},
+		BackoffBase: time.Millisecond,
+		Registry:    reg,
+	})
+	counter := newRunCounter()
+	opt := campaignOpts(2)
+	opt.Observer = counter
+	_, err := coord.Collect(ctx, hw.Platform(), opt)
+	var ce *core.CollectError
+	if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("want a cancelled *CollectError, got %v", err)
+	}
+	if len(ce.Skipped)+len(ce.Partial.Runs) != 2 || len(ce.Failed) != 0 {
+		t.Fatalf("cancelled campaign: %d skipped, %d done, %d failed; want the cut-short jobs skipped",
+			len(ce.Skipped), len(ce.Partial.Runs), len(ce.Failed))
+	}
+	return coord, reg, counter, srv.URL
+}
+
+// TestCancelledCampaignClosesEveryRunStart pins the observer protocol
+// under cancellation: every RunStart ends in exactly one RunDone or
+// RunError, locally and when the attempt was in flight on a worker, and
+// a run cut short is a skipped job, not an error, in core.Metrics too.
+func TestCancelledCampaignClosesEveryRunStart(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	local := newRunCounter()
+	opt := campaignOpts(8)
+	opt.Workers = 1
+	opt.Observer = local
+	_, _ = core.Collect(ctx, hw.Platform(), opt)
+	local.check(t, "local")
+
+	_, _, remote, _ := cancelledRemoteCampaign(t)
+	if remote.starts.Load() == 0 {
+		t.Fatal("distributed: no run started before the cancellation")
+	}
+	remote.check(t, "distributed")
+	if c, e := remote.cut.Load(), remote.errs.Load(); c != e {
+		t.Errorf("distributed: %d of %d RunErrors match core.ErrCutShort, want all", c, e)
+	}
+}
+
+// rendezvous holds every /v1/run until n have arrived across the fleet
+// (or 5 s pass), so the dispatches it lets through provably overlap.
+func rendezvous(n int) func(http.Handler) http.Handler {
+	var (
+		mu      sync.Mutex
+		arrived int
+		all     = make(chan struct{})
+	)
+	return func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, PathRun) {
+				mu.Lock()
+				if arrived++; arrived == n {
+					close(all)
+				}
+				mu.Unlock()
+				select {
+				case <-all:
+				case <-time.After(5 * time.Second):
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+}
+
+// TestDispatchSpreadsAcrossFleet pins that remote jobs use the whole
+// fleet, not the first worker's slots alone: a two-job campaign and two
+// concurrent one-job campaigns on two workers of capacity 2 each put
+// work on both workers.
+func TestDispatchSpreadsAcrossFleet(t *testing.T) {
+	fleet := func() []string {
+		wrap := rendezvous(2)
+		return []string{startWorker(t, wrap).URL, startWorker(t, wrap).URL}
+	}
+	assertBothUsed := func(name string, coord *Coordinator) {
+		t.Helper()
+		ws := coord.WorkerStats()
+		if len(ws) != 2 || ws[0].Jobs == 0 || ws[1].Jobs == 0 {
+			t.Errorf("%s: worker stats %+v, want jobs on both workers", name, ws)
+		}
+	}
+
+	coord := NewCoordinator(CoordinatorConfig{Workers: fleet()})
+	if _, err := coord.Collect(context.Background(), hw.Platform(), campaignOpts(2)); err != nil {
+		t.Fatal(err)
+	}
+	assertBothUsed("two-job campaign", coord)
+
+	coord = NewCoordinator(CoordinatorConfig{Workers: fleet()})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			opt := campaignOpts(2)
+			opt.Workloads = opt.Workloads[i : i+1]
+			if _, err := coord.Collect(context.Background(), hw.Platform(), opt); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	assertBothUsed("concurrent one-job campaigns", coord)
+}
+
+// TestLocalFallbackBoundedByWorkers pins that jobs handed back to the
+// collecting process when every remote attempt fails simulate at most
+// opt.Workers at a time, however many lanes the fleet's capacity gave
+// the campaign.
+func TestLocalFallbackBoundedByWorkers(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathHello {
+			_ = gob.NewEncoder(w).Encode(Hello{Proto: ProtoVersion, Capacity: 8})
+			return
+		}
+		http.Error(w, "worker is dying", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(srv.Close)
+	coord := NewCoordinator(CoordinatorConfig{Workers: []string{srv.URL}, BackoffBase: time.Millisecond})
+
+	tracer := obs.NewTracer()
+	opt := campaignOpts(3)
+	opt.Workers = 1
+	opt.Tracer = tracer
+	rs, err := coord.Collect(context.Background(), hw.Platform(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := core.Collect(context.Background(), hw.Platform(), campaignOpts(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(archiveBytes(t, rs), archiveBytes(t, local)) {
+		t.Fatal("archive differs from a local collection")
+	}
+
+	var sims []obs.Event
+	for _, ev := range tracer.Events() {
+		if ev.Name == "simulate" {
+			sims = append(sims, ev)
+		}
+	}
+	if len(sims) != 3 {
+		t.Fatalf("%d local simulate spans, want 3", len(sims))
+	}
+	for i := 1; i < len(sims); i++ { // Events is ordered by start
+		if prev := sims[i-1]; sims[i].Start < prev.Start+prev.Dur {
+			t.Errorf("local simulations overlap with opt.Workers = 1: %v+%v and %v",
+				prev.Start, prev.Dur, sims[i].Start)
+		}
+	}
+}
+
+// TestCancellationChargesNoWorker pins that the caller cancelling a
+// campaign is not a worker failure: attempts it cuts short count no
+// retry or HTTP error and leave the worker healthy.
+func TestCancellationChargesNoWorker(t *testing.T) {
+	coord, reg, _, url := cancelledRemoteCampaign(t)
+	snap := reg.Snapshot()
+	httpErrors := 0.0
+	for k, v := range snap {
+		if strings.HasPrefix(k, "gemstone_dist_http_errors_total") {
+			httpErrors += v
+		}
+	}
+	if got := snap["gemstone_dist_retries_total"]; got != 0 || httpErrors != 0 {
+		t.Errorf("cancellation counted %v retries and %v HTTP errors, want 0 and 0", got, httpErrors)
+	}
+	if ws := coord.WorkerStats(); len(ws) != 1 || !ws[0].Alive || ws[0].Retries != 0 {
+		t.Errorf("worker stats after cancellation: %+v, want alive with no retries", ws)
+	}
+	if got := snap[`gemstone_dist_worker_up{worker="`+url+`"}`]; got != 1 {
+		t.Errorf("gemstone_dist_worker_up = %v, want 1", got)
+	}
+}
+
 // TestCacheIntegration pins that the coordinator shares the content-
 // addressed cache contract: a second campaign over the same cache is all
 // hits and touches no worker.
@@ -392,44 +641,6 @@ func TestWorkerRejectsMismatches(t *testing.T) {
 	}
 	if got := post(good); got != http.StatusOK {
 		t.Fatalf("well-formed job: status %d, want 200", got)
-	}
-}
-
-// TestRecordAbsorbsDuplicate unit-tests the idempotence guard directly: a
-// second completion of the same job must be discarded and counted, not
-// double-finish the campaign.
-func TestRecordAbsorbsDuplicate(t *testing.T) {
-	pl := hw.Platform()
-	opt := campaignOpts(1)
-	jobs, err := core.PlanCampaign(pl, &opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := &campaign{
-		c:       NewCoordinator(CoordinatorConfig{}),
-		ctx:     context.Background(),
-		pl:      pl,
-		opt:     &opt,
-		jobs:    jobs,
-		ids:     []string{"job-0"},
-		done:    make(chan struct{}),
-		runs:    make(map[core.RunKey]platform.Measurement),
-		started: make([]bool, 1),
-	}
-	cp.remaining.Store(1)
-	var m platform.Measurement
-	cp.record(0, m, 0, "remote")
-	select {
-	case <-cp.done:
-	default:
-		t.Fatal("first record did not finish the campaign")
-	}
-	cp.record(0, m, 0, "remote") // late duplicate: must not re-close done
-	if cp.dups.Load() != 1 {
-		t.Fatalf("duplicates = %d, want 1", cp.dups.Load())
-	}
-	if cp.remote.Load() != 1 {
-		t.Fatalf("remote completions = %d, want 1", cp.remote.Load())
 	}
 }
 

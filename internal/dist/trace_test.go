@@ -17,8 +17,6 @@ import (
 	"gemstone/internal/core"
 	"gemstone/internal/hw"
 	"gemstone/internal/obs"
-	"gemstone/internal/platform"
-	"gemstone/internal/xrand"
 )
 
 // chromeDoc mirrors the Chrome trace-event JSON shape the tracer writes;
@@ -188,9 +186,9 @@ func TestFleetTraceStitching(t *testing.T) {
 			})
 		}
 	}
-	// Capacity 1 per worker: exactly one coordinator slot loop per
-	// worker, so the two pending jobs split one per worker and the
-	// barrier cannot deadlock.
+	// Capacity 1 per worker: exactly one campaign lane per worker, so
+	// the two jobs split one per worker and the barrier cannot
+	// deadlock.
 	w1 := startWorkerCap(t, 1, nil, barrier("w1"))
 	w2 := startWorkerCap(t, 1, nil, barrier("w2"))
 
@@ -302,7 +300,7 @@ func TestTraceClockSkewNegativeOffset(t *testing.T) {
 }
 
 // TestTraceKillSwitchNoOrphans kills the only worker after one job: the
-// remaining jobs retry and drain to the local lane. The merged trace
+// remaining jobs retry and then simulate on their own lane. The merged trace
 // must stay well-formed — no orphaned worker spans, no partial overlap,
 // and at most one worker-side job span per completed job.
 func TestTraceKillSwitchNoOrphans(t *testing.T) {
@@ -343,8 +341,8 @@ func TestTraceKillSwitchNoOrphans(t *testing.T) {
 	if jobs > 1 {
 		t.Errorf("%d worker job spans survived a single successful remote job", jobs)
 	}
-	// The drained jobs simulated locally: their spans render on the
-	// coordinator's local lane.
+	// The jobs that outlived the worker simulated locally: their spans
+	// render on the coordinator's lanes.
 	locals := 0
 	for _, ev := range doc.spans() {
 		if ev.Pid == 1 && ev.Name == "simulate" {
@@ -352,82 +350,61 @@ func TestTraceKillSwitchNoOrphans(t *testing.T) {
 		}
 	}
 	if locals == 0 {
-		t.Error("no local-lane simulate spans after the worker died")
+		t.Error("no locally simulated spans after the worker died")
 	}
 }
 
-// TestTraceDuplicateCompletionImportsOnce dispatches the same job twice
-// (a worker answering after its lease expired looks exactly like this):
-// the second completion is absorbed by record's idempotence guard and
-// its spans must NOT be imported — the job renders exactly once.
-func TestTraceDuplicateCompletionImportsOnce(t *testing.T) {
-	srv := startWorkerCap(t, 2, nil, nil)
-	coord := NewCoordinator(CoordinatorConfig{Workers: []string{srv.URL}})
-	conns := coord.probe(context.Background())
-	if len(conns) != 1 {
-		t.Fatalf("probe found %d workers", len(conns))
+// TestTraceChaosImportsEachRunOnce runs a traced campaign whose first two
+// run requests are a dropped response (the worker ran the job, the
+// coordinator never heard) and a duplicated execution (the worker ran
+// it twice, the coordinator hears once). The archive must match a local
+// collection, each run must contribute exactly one imported worker job
+// span, and every attempt one dispatch span containing its worker spans.
+func TestTraceChaosImportsEachRunOnce(t *testing.T) {
+	n := campaignSize(t)
+	local, err := core.Collect(context.Background(), hw.Platform(), campaignOpts(n))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	pl := hw.Platform()
-	opt := campaignOpts(1)
+	// Seed 3 draws 0.11 then 0.70: a drop, then a duplicate.
+	chaos := &Chaos{Seed: 3, DropProb: 0.5, DuplicateProb: 0.5, MaxFaults: 2}
+	coord := NewCoordinator(CoordinatorConfig{
+		Workers:     []string{startWorker(t, nil).URL, startWorker(t, nil).URL},
+		Client:      &http.Client{Transport: chaos},
+		BackoffBase: time.Millisecond,
+	})
 	tr := obs.NewTracer()
+	opt := campaignOpts(n)
 	opt.Tracer = tr
-	jobs, err := core.PlanCampaign(pl, &opt)
+	opt.Name = "chaos-trace"
+	rs, err := coord.Collect(context.Background(), hw.Platform(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := core.CacheKeyFidelity(pl, jobs[0].Profile, jobs[0].Key.Cluster, jobs[0].Key.FreqMHz, platform.FidelityDetailed)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(archiveBytes(t, rs), archiveBytes(t, local)) {
+		t.Fatal("chaotic traced archive differs from local")
 	}
-	spec, ok := SpecFor(pl)
-	if !ok {
-		t.Fatal("no spec for hw platform")
+	if chaos.Drops() != 1 || chaos.Duplicates() != 1 {
+		t.Fatalf("chaos injected %d drops and %d duplicates, want 1 and 1", chaos.Drops(), chaos.Duplicates())
 	}
-	cp := &campaign{
-		c:        coord,
-		id:       "dup-test",
-		ctx:      context.Background(),
-		pl:       pl,
-		opt:      &opt,
-		jobs:     jobs,
-		ids:      []string{id},
-		spec:     spec,
-		fp:       pl.Config().Fingerprint(),
-		conns:    conns,
-		pending:  make(chan int, 1),
-		local:    make(chan int, 1),
-		done:     make(chan struct{}),
-		stopCh:   make(chan struct{}),
-		runs:     make(map[core.RunKey]platform.Measurement, 1),
-		attempts: make([]int, 1),
-		started:  make([]bool, 1),
-		rng:      xrand.New(1),
-	}
-	cp.remaining.Store(1)
 
-	ws := tr.Start("slot", obs.String("worker", conns[0].base), obs.Int("slot", 0))
-	cp.dispatch(conns[0], 0, ws)
-	cp.dispatch(conns[0], 0, ws) // the duplicate completion
-	ws.End()
-
-	if cp.dups.Load() != 1 {
-		t.Fatalf("duplicates = %d, want 1", cp.dups.Load())
-	}
+	doc := exportTrace(t, tr)
+	validateNesting(t, doc)
+	validateWorkerContainment(t, doc, "collect")
 	jobSpans, dispatchSpans := 0, 0
-	for _, ev := range tr.Events() {
+	for _, ev := range doc.spans() {
 		switch {
-		case ev.Proc != 0 && ev.Name == "job":
+		case ev.Pid != 1 && ev.Name == "job":
 			jobSpans++
-		case ev.Proc == 0 && ev.Name == "dispatch":
+		case ev.Pid == 1 && ev.Name == "dispatch":
 			dispatchSpans++
 		}
 	}
-	if jobSpans != 1 {
-		t.Errorf("imported %d worker job spans, want exactly 1", jobSpans)
+	if jobSpans != n {
+		t.Errorf("imported %d worker job spans, want one per run (%d)", jobSpans, n)
 	}
-	if dispatchSpans != 2 {
-		t.Errorf("recorded %d dispatch spans, want 2 (both attempts)", dispatchSpans)
+	if want := n + int(chaos.Drops()); dispatchSpans != want {
+		t.Errorf("recorded %d dispatch spans, want one per attempt (%d)", dispatchSpans, want)
 	}
 }
 
