@@ -81,9 +81,8 @@ baseline:
 
 # Regenerate every EXPERIMENTS.md row: one benchmark per paper table /
 # figure, run exactly once each, printing paper-vs-measured values. The
-# BenchmarkCollect_* campaign benchmarks run here too; the span, stats and
-# remote-campaign benchmarks run with `go test -bench` in their packages.
-# End-to-end and per-layer performance numbers come from
+# span and stats microbenchmarks run with `go test -bench` in their
+# packages. End-to-end and per-layer performance numbers come from
 # `bash bench/run.sh` (`bash bench/run.sh compare` diffs two result
 # files; see bench/README.md).
 experiments:

@@ -414,142 +414,3 @@ func BenchmarkBaseline_AnalyticalVsEmpirical(b *testing.B) {
 	}
 	printOnce("baseline", out)
 }
-
-// campaignOpt is the validation campaign the cache benchmarks collect:
-// all 45 validation workloads across the A15's Experiment-1 DVFS points.
-func campaignOpt(cache gemstone.RunCache) gemstone.CollectOptions {
-	return gemstone.CollectOptions{
-		Clusters: []string{gemstone.ClusterA15},
-		Cache:    cache,
-	}
-}
-
-// BenchmarkCollect_ColdCache measures the validation campaign with an
-// empty cache: every run simulates (and is stored). Compare against
-// BenchmarkCollect_WarmCache for the replay speedup.
-func BenchmarkCollect_ColdCache(b *testing.B) {
-	pl := gemstone.HardwarePlatform()
-	for i := 0; i < b.N; i++ {
-		rs, err := gemstone.Collect(context.Background(), pl, campaignOpt(gemstone.NewMemoryRunCache(0)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rs.Runs) == 0 {
-			b.Fatal("empty campaign")
-		}
-	}
-}
-
-// BenchmarkCollect_ColdCacheAtomic is BenchmarkCollect_ColdCache at the
-// atomic fidelity tier: the identical campaign grid predicted from
-// short anchor runs instead of full detailed simulation. The tier must
-// stay at least 5x faster per op than the detailed cold run (the floor
-// internal/core's TestAtomicSpeedupFloor asserts) — the fast path that
-// makes screen-then-resimulate campaigns pay.
-func BenchmarkCollect_ColdCacheAtomic(b *testing.B) {
-	pl := gemstone.HardwarePlatform()
-	for i := 0; i < b.N; i++ {
-		opt := campaignOpt(gemstone.NewMemoryRunCache(0))
-		opt.Fidelity = gemstone.FidelityAtomic
-		rs, err := gemstone.Collect(context.Background(), pl, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rs.Runs) == 0 {
-			b.Fatal("empty campaign")
-		}
-	}
-}
-
-// BenchmarkCollect_ColdCacheTraced is BenchmarkCollect_ColdCache with a
-// span tracer attached, so the pair bounds the tracing overhead on a
-// real campaign. The acceptance bar is <= 2% over the untraced cold run;
-// the per-run span cost is tens of nanoseconds against simulations that
-// take milliseconds (see BenchmarkSpanEnabled in internal/obs).
-func BenchmarkCollect_ColdCacheTraced(b *testing.B) {
-	pl := gemstone.HardwarePlatform()
-	for i := 0; i < b.N; i++ {
-		opt := campaignOpt(gemstone.NewMemoryRunCache(0))
-		opt.Tracer = gemstone.NewTracer()
-		rs, err := gemstone.Collect(context.Background(), pl, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rs.Runs) == 0 {
-			b.Fatal("empty campaign")
-		}
-	}
-}
-
-// BenchmarkCollect_WarmCache measures the same campaign replayed from a
-// warm in-memory cache: no run simulates. The acceptance bar is a >= 10x
-// speedup over BenchmarkCollect_ColdCache; in practice it is orders of
-// magnitude.
-func BenchmarkCollect_WarmCache(b *testing.B) {
-	pl := gemstone.HardwarePlatform()
-	cache := gemstone.NewMemoryRunCache(0)
-	if _, err := gemstone.Collect(context.Background(), pl, campaignOpt(cache)); err != nil {
-		b.Fatal(err)
-	}
-	metrics := gemstone.NewCollectMetrics()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opt := campaignOpt(cache)
-		opt.Observer = metrics
-		rs, err := gemstone.Collect(context.Background(), pl, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rs.Runs) == 0 {
-			b.Fatal("empty campaign")
-		}
-	}
-	b.StopTimer()
-	if s := metrics.Stats(); s.Simulated != 0 {
-		b.Fatalf("warm campaign simulated %d runs", s.Simulated)
-	}
-}
-
-// BenchmarkCollect_WarmDiskCache replays the campaign from the on-disk
-// tier only (a fresh memory tier every iteration), measuring the
-// persistent-store decode path.
-func BenchmarkCollect_WarmDiskCache(b *testing.B) {
-	pl := gemstone.HardwarePlatform()
-	disk, err := gemstone.NewDiskRunCache(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := gemstone.Collect(context.Background(), pl, campaignOpt(disk)); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs, err := gemstone.Collect(context.Background(), pl, campaignOpt(disk))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rs.Runs) == 0 {
-			b.Fatal("empty campaign")
-		}
-	}
-}
-
-// BenchmarkSimulatorThroughput measures raw simulation speed: one full
-// workload run on the reference A15 per iteration, reported in MIPS.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	board := gemstone.HardwarePlatform()
-	prof, err := gemstone.WorkloadByName("dhrystone")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var insts uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := board.Run(prof, gemstone.ClusterA15, 1000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts += m.Sample.Tally.Committed
-	}
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "MIPS")
-}

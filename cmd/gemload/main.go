@@ -34,8 +34,6 @@
 //	-invoke K        workloads per campaign spec      (default 1)
 //	-mix SPEC        op weights, e.g. cold=1,warm=3,events=3,analysis=3
 //	-seed N          RNG seed                         (default 1)
-//	-tol F           latency reconciliation relative tolerance (default 0.35)
-//	-tol-abs-ms MS   latency reconciliation absolute slack     (default 250)
 //	-out FILE        write the full JSON report
 //	-kill-every D    fleet mode: kill a worker every D (chaos soak)
 //	-chaos           fleet mode: inject drops/duplicates/corruption
@@ -118,8 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	invoke := fs.Int("invoke", 1, "workloads per campaign spec")
 	mixSpec := fs.String("mix", "", "op weights, e.g. cold=1,warm=3,events=3,analysis=3")
 	seed := fs.Uint64("seed", 1, "RNG seed")
-	tol := fs.Float64("tol", 0.35, "latency reconciliation relative tolerance")
-	tolAbsMs := fs.Float64("tol-abs-ms", 250, "latency reconciliation absolute slack in ms")
 	outPath := fs.String("out", "", "write the full JSON report to this file")
 	killEvery := fs.Duration("kill-every", 0, "fleet mode: kill a worker every this often")
 	chaos := fs.Bool("chaos", false, "fleet mode: inject drops/duplicates/corruption on the worker wire")
@@ -191,11 +187,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Tenants:      *tenants,
 		InvokeLength: *invoke,
 		Mix:          mix,
-		Tol: load.Tolerance{
-			Rel: *tol,
-			Abs: time.Duration(*tolAbsMs * float64(time.Millisecond)),
-		},
-		Log: log,
+		Log:          log,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "gemload: %v\n", err)

@@ -54,8 +54,10 @@
 //	-screen                  screen-then-resimulate: sweep at the atomic
 //	                         tier, re-simulate the flagged points detailed
 //
-// The power model alone, trained on all 65 workloads (Experiments 3/4),
-// is examples/powerstudy; the Section VII regression gate is make watch
+// The power model trained on all 65 workloads (Experiments 3/4) is
+// printed by make experiments (Table 4, Fig. 7) and applied to archived
+// stats.txt files by the root package's ExampleLoadPowerModel; the
+// Section VII regression gate is make watch
 // (gemstone -ledger compared with gemwatch against a baseline ledger).
 //
 // Campaigns are cancellable: SIGINT stops the outstanding simulations and

@@ -17,11 +17,10 @@
 //	-ledger   file   results ledger to check   (default ledger.jsonl)
 //	-baseline file   blessed baseline ledger   (default baselines/ledger.jsonl)
 //	-html     file   also write a self-contained HTML drift report
-//	-tol-mpe  pp     headline MPE tolerance    (default 2)
-//	-tol-mape pp     headline MAPE tolerance   (default 2)
-//	-tol-r2   d      allowed power R² drop     (default 0.01)
-//	-pe-floor pp     min |ΔPE| to flag a workload outlier (default 5)
-//	-mad-k    k      robust z-score outlier threshold     (default 3.5)
+//
+// The tolerances are fixed: 2 pp on the headline MPE and MAPE (and the
+// power-model MAPE), a 0.01 power R² drop, and a workload outlier needs
+// a robust z-score above 3.5 and a |ΔPE| above 5 pp.
 //
 // Exit status: 0 when the latest entry is within tolerance, 1 on drift,
 // 2 on usage or I/O errors (missing ledgers, no valid entries).
@@ -48,11 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ledgerPath := fs.String("ledger", "ledger.jsonl", "results ledger to check (newest entry is compared)")
 	basePath := fs.String("baseline", "baselines/ledger.jsonl", "blessed baseline ledger (oldest entry is the reference)")
 	htmlPath := fs.String("html", "", "also write a self-contained HTML drift report to this file")
-	tolMPE := fs.Float64("tol-mpe", 0, "headline MPE tolerance in percentage points (0 = default 2)")
-	tolMAPE := fs.Float64("tol-mape", 0, "headline MAPE tolerance in percentage points (0 = default 2)")
-	tolR2 := fs.Float64("tol-r2", 0, "allowed power-model R² degradation (0 = default 0.01)")
-	peFloor := fs.Float64("pe-floor", 0, "minimum |ΔPE| in pp to flag a workload outlier (0 = default 5)")
-	madK := fs.Float64("mad-k", 0, "robust z-score threshold for workload outliers (0 = default 3.5)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -81,13 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cur := scan.Entries[len(scan.Entries)-1]
 
-	r := gemstone.CompareLedgerEntries(base, cur, gemstone.DriftOptions{
-		MPETolerancePP:  *tolMPE,
-		MAPETolerancePP: *tolMAPE,
-		R2Tolerance:     *tolR2,
-		PEFloorPP:       *peFloor,
-		OutlierZ:        *madK,
-	})
+	r := gemstone.CompareLedgerEntries(base, cur)
 	fmt.Fprint(stdout, report.Drift(r))
 
 	if *htmlPath != "" {

@@ -192,8 +192,6 @@ type (
 	CampaignRecorder = ledger.CampaignRecorder
 	// DriftReport is the outcome of comparing two ledger entries.
 	DriftReport = ledger.DriftReport
-	// DriftOptions tunes the drift tolerances (zero value = defaults).
-	DriftOptions = ledger.DriftOptions
 )
 
 // OpenLedger returns the append-only results ledger at path. No I/O
@@ -210,8 +208,8 @@ func NewCampaignRecorder() *CampaignRecorder { return ledger.NewCampaignRecorder
 // CompareLedgerEntries diffs a current ledger entry against a baseline:
 // headline tolerance bands, per-workload PE deltas with MAD-based outlier
 // flagging grouped by the baseline's HCA clusters, and provenance notes.
-func CompareLedgerEntries(base, cur LedgerEntry, opt DriftOptions) *DriftReport {
-	return ledger.Compare(base, cur, opt)
+func CompareLedgerEntries(base, cur LedgerEntry) *DriftReport {
+	return ledger.Compare(base, cur)
 }
 
 // Analysis types (see internal/core for full documentation).

@@ -29,13 +29,13 @@ func screenCampaign() CollectOptions {
 const atomicSpeedupFloor = 5
 
 // TestAtomicSpeedupFloor times the cold validation campaign (all 45
-// validation workloads across the A15's Experiment-1 DVFS points, the
-// BenchmarkCollect_ColdCache grid) at both tiers in this process and
-// asserts the atomic tier is at least atomicSpeedupFloor times faster.
-// The ratio depends only on the host, so no committed baseline is
-// needed. Runs interleave and the best of three per tier counts, to ride
-// out scheduler noise. Skipped under -race: the detector's
-// instrumentation slows the two tiers by different factors.
+// validation workloads across the A15's Experiment-1 DVFS points) at
+// both tiers in this process and asserts the atomic tier is at least
+// atomicSpeedupFloor times faster. The ratio depends only on the host,
+// so no committed baseline is needed. Runs interleave and the best of
+// three per tier counts, to ride out scheduler noise. Skipped under
+// -race: the detector's instrumentation slows the two tiers by
+// different factors.
 func TestAtomicSpeedupFloor(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock ratio is meaningless under -race")

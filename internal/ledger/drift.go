@@ -8,42 +8,22 @@ import (
 	"gemstone/internal/stats"
 )
 
-// DriftOptions are the watchdog tolerances. The zero value means "use
-// defaults" — fill() substitutes them so a zero-valued field never makes
-// a tolerance of 0 (which would flag float jitter as drift).
-type DriftOptions struct {
-	// MPETolerancePP / MAPETolerancePP bound the headline error shifts in
-	// percentage points. Default 2.
-	MPETolerancePP  float64
-	MAPETolerancePP float64
-	// R2Tolerance bounds power-model R² degradation. Default 0.01.
-	R2Tolerance float64
-	// PEFloorPP is the minimum absolute per-workload PE shift (percentage
-	// points) before a robust-z outlier counts as drifted. Default 5.
-	PEFloorPP float64
-	// OutlierZ is the MAD-based robust z-score above which a workload's
-	// PE shift is an outlier against the cohort. Default 3.5.
-	OutlierZ float64
-}
-
-func (o DriftOptions) fill() DriftOptions {
-	if o.MPETolerancePP == 0 {
-		o.MPETolerancePP = 2
-	}
-	if o.MAPETolerancePP == 0 {
-		o.MAPETolerancePP = 2
-	}
-	if o.R2Tolerance == 0 {
-		o.R2Tolerance = 0.01
-	}
-	if o.PEFloorPP == 0 {
-		o.PEFloorPP = 5
-	}
-	if o.OutlierZ == 0 {
-		o.OutlierZ = 3.5
-	}
-	return o
-}
+// The watchdog tolerances.
+const (
+	// mpeTolerancePP and mapeTolerancePP bound the headline error shifts
+	// in percentage points; mapeTolerancePP also bounds the power-model
+	// MAPE shift.
+	mpeTolerancePP  = 2
+	mapeTolerancePP = 2
+	// r2Tolerance bounds power-model R² degradation.
+	r2Tolerance = 0.01
+	// peFloorPP is the minimum absolute per-workload PE shift (percentage
+	// points) before a robust-z outlier counts as drifted.
+	peFloorPP = 5
+	// outlierZ is the MAD-based robust z-score above which a workload's
+	// PE shift is an outlier against the cohort.
+	outlierZ = 3.5
+)
 
 // HeadlineDrift compares one scalar between baseline and current runs.
 type HeadlineDrift struct {
@@ -142,9 +122,8 @@ func (r *DriftReport) ShiftedClusters() []ClusterDrift {
 	return out
 }
 
-// Compare diffs the current entry against the baseline under opt.
-func Compare(base, cur Entry, opt DriftOptions) *DriftReport {
-	opt = opt.fill()
+// Compare diffs the current entry against the baseline.
+func Compare(base, cur Entry) *DriftReport {
 	r := &DriftReport{
 		BasePlatform: base.Manifest.ModelPlatform,
 		CurPlatform:  cur.Manifest.ModelPlatform,
@@ -177,16 +156,16 @@ func Compare(base, cur Entry, opt DriftOptions) *DriftReport {
 			Breach: math.Abs(d) > tol,
 		})
 	}
-	headline("MPE (pp)", base.Results.MPE, cur.Results.MPE, opt.MPETolerancePP)
-	headline("MAPE (pp)", base.Results.MAPE, cur.Results.MAPE, opt.MAPETolerancePP)
+	headline("MPE (pp)", base.Results.MPE, cur.Results.MPE, mpeTolerancePP)
+	headline("MAPE (pp)", base.Results.MAPE, cur.Results.MAPE, mapeTolerancePP)
 	if bp, cp := base.Results.Power, cur.Results.Power; bp != nil && cp != nil {
 		// R² may only degrade; an improvement is never drift.
 		drop := bp.R2 - cp.R2
 		r.Headlines = append(r.Headlines, HeadlineDrift{
 			Name: "power R²", Base: bp.R2, Cur: cp.R2, Delta: cp.R2 - bp.R2,
-			Tolerance: opt.R2Tolerance, Breach: drop > opt.R2Tolerance,
+			Tolerance: r2Tolerance, Breach: drop > r2Tolerance,
 		})
-		headline("power MAPE (pp)", bp.MAPE, cp.MAPE, opt.MAPETolerancePP)
+		headline("power MAPE (pp)", bp.MAPE, cp.MAPE, mapeTolerancePP)
 	}
 	if lat := latencyMaxRel(base.Results.Latency, cur.Results.Latency); !math.IsNaN(lat) {
 		r.Headlines = append(r.Headlines, HeadlineDrift{
@@ -228,8 +207,8 @@ func Compare(base, cur Entry, opt DriftOptions) *DriftReport {
 	for i := range r.Workloads {
 		w := &r.Workloads[i]
 		w.RobustZ = zs[i]
-		outlier := w.RobustZ > opt.OutlierZ || math.IsInf(w.RobustZ, 1)
-		w.Shifted = outlier && math.Abs(w.DeltaPP) > opt.PEFloorPP
+		outlier := w.RobustZ > outlierZ || math.IsInf(w.RobustZ, 1)
+		w.Shifted = outlier && math.Abs(w.DeltaPP) > peFloorPP
 	}
 	sort.Slice(r.Workloads, func(i, j int) bool {
 		return math.Abs(r.Workloads[i].DeltaPP) > math.Abs(r.Workloads[j].DeltaPP)

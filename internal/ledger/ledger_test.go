@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -404,7 +405,7 @@ func invariants(v *Validator) map[string]bool {
 
 func TestCompareNoDrift(t *testing.T) {
 	base := sampleEntry("gem5-ex5-v1", -51.7)
-	r := Compare(base, base, DriftOptions{})
+	r := Compare(base, base)
 	if r.Drift {
 		t.Fatalf("identical entries reported drift: %+v", r)
 	}
@@ -422,7 +423,7 @@ func TestCompareHeadlineBreach(t *testing.T) {
 	for i := range cur.Results.Workloads {
 		cur.Results.Workloads[i].PE = 10.2
 	}
-	r := Compare(base, cur, DriftOptions{})
+	r := Compare(base, cur)
 	if !r.Drift {
 		t.Fatal("a 60 pp MPE swing must drift")
 	}
@@ -443,42 +444,54 @@ func TestCompareHeadlineBreach(t *testing.T) {
 func TestCompareOutlierNamesCluster(t *testing.T) {
 	base := sampleEntry("gem5-ex5-v1", 0)
 	cur := sampleEntry("gem5-ex5-v1", 0)
-	// Give both entries a wider cohort so the MAD is meaningful.
+	// Give both entries a cohort wide enough that the MAD is meaningful
+	// and one workload's swing stays inside the headline tolerance, so
+	// only the outlier path can report drift.
 	base.Results.Workloads = nil
 	cur.Results.Workloads = nil
-	names := []string{"w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7"}
-	for i, n := range names {
+	const n = 24
+	var baseSum, curSum float64
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("w%d", i)
 		label := 0
-		if i >= 6 {
+		if i >= n-2 {
 			label = 1
 		}
 		base.Results.Workloads = append(base.Results.Workloads,
-			WorkloadResult{Workload: n, HCACluster: label, PE: float64(i)})
+			WorkloadResult{Workload: name, HCACluster: label, PE: float64(i)})
 		pe := float64(i) + 0.1 // small uniform jitter
-		if n == "w7" {
+		if i == n-1 {
 			pe = float64(i) + 40 // one workload swings 40 pp
 		}
 		cur.Results.Workloads = append(cur.Results.Workloads,
-			WorkloadResult{Workload: n, HCACluster: label, PE: pe})
+			WorkloadResult{Workload: name, HCACluster: label, PE: pe})
+		baseSum += float64(i)
+		curSum += pe
 	}
-	r := Compare(base, cur, DriftOptions{MPETolerancePP: 100, MAPETolerancePP: 100})
+	// Every PE is positive, so the headline MPE and MAPE coincide.
+	base.Results.MPE, base.Results.MAPE = baseSum/n, baseSum/n
+	cur.Results.MPE, cur.Results.MAPE = curSum/n, curSum/n
+	r := Compare(base, cur)
+	if b := r.BreachedHeadlines(); len(b) != 0 {
+		t.Fatalf("headline breached, outlier path not isolated: %+v", b)
+	}
 	if !r.Drift {
 		t.Fatal("outlier swing must drift")
 	}
 	var shifted *WorkloadDrift
 	for i := range r.Workloads {
-		if r.Workloads[i].Workload == "w7" {
+		if r.Workloads[i].Workload == "w23" {
 			shifted = &r.Workloads[i]
 		}
 	}
 	if shifted == nil || !shifted.Shifted {
-		t.Fatalf("w7 not flagged: %+v", r.Workloads)
+		t.Fatalf("w23 not flagged: %+v", r.Workloads)
 	}
 	sc := r.ShiftedClusters()
 	if len(sc) != 1 || sc[0].Label != 1 {
 		t.Fatalf("shifted cluster not named: %+v", sc)
 	}
-	if len(sc[0].Workloads) != 1 || sc[0].Workloads[0] != "w7" {
+	if len(sc[0].Workloads) != 1 || sc[0].Workloads[0] != "w23" {
 		t.Fatalf("shifted members wrong: %+v", sc[0])
 	}
 }
@@ -489,7 +502,7 @@ func TestCompareSetMismatch(t *testing.T) {
 	cur.Results.Workloads = cur.Results.Workloads[:1] // drop par-bitcount
 	cur.Results.Workloads = append(cur.Results.Workloads,
 		WorkloadResult{Workload: "new-one", HCACluster: 0, PE: 0})
-	r := Compare(base, cur, DriftOptions{})
+	r := Compare(base, cur)
 	if !r.Drift {
 		t.Fatal("set mismatch must drift")
 	}
@@ -505,14 +518,14 @@ func TestCompareR2DegradationOnly(t *testing.T) {
 	base := sampleEntry("gem5-ex5-v1", 0)
 	cur := sampleEntry("gem5-ex5-v1", 0)
 	cur.Results.Power.R2 = base.Results.Power.R2 + 0.02 // improvement
-	r := Compare(base, cur, DriftOptions{})
+	r := Compare(base, cur)
 	for _, h := range r.Headlines {
 		if h.Name == "power R²" && h.Breach {
 			t.Fatal("R² improvement flagged as drift")
 		}
 	}
 	cur.Results.Power.R2 = base.Results.Power.R2 - 0.05 // degradation
-	r = Compare(base, cur, DriftOptions{})
+	r = Compare(base, cur)
 	var breach bool
 	for _, h := range r.Headlines {
 		if h.Name == "power R²" && h.Breach {

@@ -61,25 +61,6 @@ func (m Mix) weights() []float64 {
 	return []float64{m.Cold, m.Warm, m.Events, m.Analysis}
 }
 
-// Tolerance bounds the client/server latency reconciliation: the
-// client-observed number may differ from the server-reported one by
-// Rel (fraction) plus Abs (absolute seconds-scale slack for HTTP,
-// SSE delivery and scheduler jitter).
-type Tolerance struct {
-	Rel float64       `json:"rel"`
-	Abs time.Duration `json:"abs"`
-}
-
-func (t Tolerance) orDefault() Tolerance {
-	if t.Rel == 0 {
-		t.Rel = 0.35
-	}
-	if t.Abs == 0 {
-		t.Abs = 250 * time.Millisecond
-	}
-	return t
-}
-
 // Config shapes one load run. The zero value of every field except
 // BaseURL is usable.
 type Config struct {
@@ -121,8 +102,6 @@ type Config struct {
 	FreqsMHz []int
 	// OpTimeout bounds one operation end-to-end; 0 means 120s.
 	OpTimeout time.Duration
-	// Tol bounds the client/server latency reconciliation.
-	Tol Tolerance
 	// Log, when non-nil, receives driver progress logging.
 	Log *slog.Logger
 }
@@ -152,7 +131,6 @@ func (c Config) withDefaults() Config {
 	if c.OpTimeout == 0 {
 		c.OpTimeout = 120 * time.Second
 	}
-	c.Tol = c.Tol.orDefault()
 	return c
 }
 
