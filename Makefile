@@ -21,8 +21,11 @@ quick:
 build:
 	$(GO) build ./...
 
+# bench/ is its own module, so the root ./... does not reach it: vet it
+# separately, so an API change that breaks the benchmark fails here.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 test:
 	$(GO) test -race -timeout 45m ./...

@@ -659,6 +659,7 @@ func main() {
 		entry := buildLedgerEntry(ledgerInputs{
 			hw:         gemstone.HardwarePlatform(),
 			sim:        gemstone.Gem5Platform(ver),
+			hwRuns:     hwRuns,
 			version:    ver,
 			cluster:    *cluster,
 			freqMHz:    *freq,
@@ -706,6 +707,7 @@ func main() {
 // ledgerInputs gathers everything buildLedgerEntry distils into a record.
 type ledgerInputs struct {
 	hw, sim    *gemstone.Platform
+	hwRuns     *gemstone.RunSet
 	version    gem5.Version
 	cluster    string
 	freqMHz    int
@@ -730,9 +732,14 @@ type ledgerInputs struct {
 func buildLedgerEntry(in ledgerInputs) gemstone.LedgerEntry {
 	hwCfg, simCfg := in.hw.Config(), in.sim.Config()
 	names, setHash, seed := ledger.WorkloadSetDigest(in.profiles)
-	grid := make(map[string][]int, len(hwCfg.Clusters))
-	for _, cc := range hwCfg.Clusters {
-		grid[cc.Name] = cc.Frequencies()
+	// The DVFS grid is the one the hardware campaign swept.
+	grid := map[string][]int{}
+	for k := range in.hwRuns.Runs {
+		grid[k.Cluster] = append(grid[k.Cluster], k.FreqMHz)
+	}
+	for cluster, freqs := range grid {
+		slices.Sort(freqs)
+		grid[cluster] = slices.Compact(freqs)
 	}
 	man := gemstone.RunManifest{
 		Schema:           ledger.SchemaVersion,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"log/slog"
@@ -131,6 +132,32 @@ func TestEventsAnalysis(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, stdout)
 		}
+	}
+}
+
+// TestLedgerRecordsSweptGrid: the manifest's DVFS grid is the grid the
+// campaign collected — the A15 experiment frequencies — not every
+// frequency of every hardware cluster.
+func TestLedgerRecordsSweptGrid(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	_, stderr, code := runGemstone(t, "-analyses", "none", "-workloads", "2", "-ledger", path)
+	if code != 0 {
+		t.Fatalf("exit status %d\nstderr:\n%s", code, stderr)
+	}
+	line, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entry struct {
+		Manifest struct {
+			DVFSGrid json.RawMessage `json:"dvfs_grid"`
+		} `json:"manifest"`
+	}
+	if err := json.Unmarshal(line, &entry); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(entry.Manifest.DVFSGrid), `{"a15":[600,1000,1400,1800]}`; got != want {
+		t.Fatalf("dvfs_grid = %s, want %s", got, want)
 	}
 }
 

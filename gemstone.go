@@ -185,7 +185,7 @@ type (
 	LedgerDiagnostic = ledger.Diagnostic
 	// Validator checks physical invariants (counter conservation, DVFS
 	// monotonicity, energy = power x time, PE sign consistency) over
-	// collected measurements; it is also a CollectObserver.
+	// collected run sets and validation summaries.
 	Validator = ledger.Validator
 	// CampaignRecorder is a CollectObserver keeping per-campaign stats
 	// for the manifest.

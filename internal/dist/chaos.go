@@ -29,7 +29,7 @@ import (
 //     one, so the job is recorded once.
 //   - Corrupt: one payload byte is flipped in flight. The digest check
 //     must catch it and the coordinator must retry elsewhere.
-//   - Delay: the response stalls by Delay, exercising lease timeouts.
+//   - Delay: the response stalls by Delay, exercising attempt timeouts.
 //
 // MaxFaults bounds total injections so a chaotic test still converges:
 // after the budget is spent Chaos is a transparent transport.
@@ -152,7 +152,7 @@ func (c *Chaos) drop(req *http.Request) (*http.Response, error) {
 
 // duplicate executes the job twice and returns the second response: the
 // coordinator observes one answer, but the work unit ran twice — the wire
-// analogue of a worker answering after its lease expired.
+// analogue of a worker answering after its attempt timed out.
 func (c *Chaos) duplicate(req *http.Request) (*http.Response, error) {
 	if req.GetBody == nil {
 		// Cannot replay the body; degrade to a transparent exchange.

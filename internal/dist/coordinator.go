@@ -22,34 +22,37 @@ import (
 	"gemstone/internal/xrand"
 )
 
-// CoordinatorConfig tunes a Coordinator. The zero value of every field is
-// usable: no workers means every campaign runs locally.
+// CoordinatorConfig configures a Coordinator. The zero value of every
+// field is usable: no workers means every campaign runs locally.
 type CoordinatorConfig struct {
 	// Workers lists worker base addresses ("host:port" or a full URL).
 	Workers []string
 	// Client issues all worker HTTP requests. Tests install a Chaos
 	// transport here; nil means a private default client.
 	Client *http.Client
-	// ProbeTimeout bounds the per-worker hello probe; 0 means 5s.
-	ProbeTimeout time.Duration
-	// RunTimeout is the job lease: a dispatched job that has not answered
-	// within it is reassigned. 0 means 2 minutes.
-	RunTimeout time.Duration
-	// MaxAttempts bounds remote attempts per job before the coordinator
-	// simulates it locally. 0 means 3.
-	MaxAttempts int
-	// BackoffBase and BackoffMax shape retry delays: attempt n waits
-	// BackoffBase<<(n-1), capped at BackoffMax, jittered ±50%. Zero means
-	// 50ms base, 2s cap.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Seed seeds the deterministic jitter source; 0 means 1.
-	Seed uint64
 	// Registry, when non-nil, receives gemstone_dist_* metrics.
 	Registry *obs.Registry
 	// Log, when non-nil, receives coordinator logging.
 	Log *slog.Logger
 }
+
+// The coordinator's timing and retry policy.
+const (
+	// probeTimeout bounds the per-worker hello probe.
+	probeTimeout = 5 * time.Second
+	// runTimeout bounds one remote attempt: a dispatched job that has not
+	// answered within it is retried.
+	runTimeout = 2 * time.Minute
+	// maxAttempts bounds remote attempts per job before its lane
+	// simulates it locally.
+	maxAttempts = 3
+	// Retry n waits backoffBase<<(n-1), capped at backoffMax, jittered
+	// ±50%.
+	backoffBase = 50 * time.Millisecond
+	backoffMax  = 2 * time.Second
+	// jitterSeed seeds each campaign's deterministic jitter source.
+	jitterSeed = 1
+)
 
 // WorkerStats is the per-worker provenance a coordinator accumulates
 // across campaigns, recorded into the run ledger manifest.
@@ -66,34 +69,11 @@ type WorkerStats struct {
 	Alive bool `json:"alive"`
 }
 
-// LeaseKey identifies one in-flight job assignment. Leases are keyed by
-// (campaign, job), never by job alone: concurrent campaigns may schedule
-// the identical content-addressed job (same platform, workload and DVFS
-// point — hence the same ID) at the same time, and each campaign's lease
-// must expire and reassign independently of the other's.
-type LeaseKey struct {
-	// Campaign is the campaign the assignment belongs to (see
-	// CollectOptions.Name).
-	Campaign string
-	// Job is the content-addressed job ID (the run-cache key).
-	Job string
-}
-
-// Lease records one in-flight job assignment.
-type Lease struct {
-	// Worker is the base URL of the worker holding the job.
-	Worker string
-	// Expires is when the lease times out and the job is reassigned.
-	Expires time.Time
-}
-
 // Coordinator shards campaigns across remote workers. It is safe for
 // concurrent campaigns over one shared fleet: each worker's advertised
 // capacity is enforced by a shared slot pool (a campaign never opens
-// request slots the fleet does not have), the lease table is keyed by
-// (campaign, job) so identical jobs in overlapping campaigns cannot
-// collide, and worker provenance accumulates across campaigns for the
-// ledger.
+// request slots the fleet does not have), and worker provenance
+// accumulates across campaigns for the ledger.
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	client *http.Client
@@ -112,11 +92,9 @@ type Coordinator struct {
 	// seq names anonymous campaigns (Collect with an empty Name).
 	seq atomic.Int64
 
-	mu       sync.Mutex
-	leases   map[LeaseKey]Lease
-	stats    map[string]*WorkerStats
-	slots    map[string]*slotPool
-	degraded int
+	mu    sync.Mutex
+	stats map[string]*WorkerStats
+	slots map[string]*slotPool
 }
 
 // slotPool bounds the coordinator-side request slots of one worker across
@@ -187,34 +165,18 @@ func (sp *slotPool) setLimit(limit int) {
 
 // NewCoordinator builds a coordinator.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 5 * time.Second
-	}
-	if cfg.RunTimeout <= 0 {
-		cfg.RunTimeout = 2 * time.Minute
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 50 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 2 * time.Second
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	c := &Coordinator{
 		cfg:    cfg,
 		client: cfg.Client,
 		log:    cfg.Log,
-		leases: make(map[LeaseKey]Lease),
 		stats:  make(map[string]*WorkerStats),
 		slots:  make(map[string]*slotPool),
 	}
 	if c.client == nil {
 		c.client = &http.Client{}
+	}
+	if c.log == nil {
+		c.log = obs.Discard
 	}
 	if reg := cfg.Registry; reg != nil {
 		c.mWorkerUp = reg.Gauge("gemstone_dist_worker_up",
@@ -246,53 +208,13 @@ func (c *Coordinator) WorkerStats() []WorkerStats {
 	return out
 }
 
-// DegradedCampaigns counts campaigns that ran fully locally because no
-// worker answered the probe (or the platform had no wire spec).
-func (c *Coordinator) DegradedCampaigns() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.degraded
-}
-
 // LiveWorkers probes every configured worker right now and reports how
 // many answered with a compatible hello. Probe outcomes update the
 // cached WorkerStats, so a readiness endpoint calling this keeps the
 // fleet snapshot fresh as a side effect. The probe respects ctx as well
-// as the configured ProbeTimeout.
+// as the probe timeout.
 func (c *Coordinator) LiveWorkers(ctx context.Context) int {
 	return len(c.probe(ctx))
-}
-
-// Leases snapshots the in-flight lease table (tests and debugging).
-func (c *Coordinator) Leases() map[LeaseKey]Lease {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[LeaseKey]Lease, len(c.leases))
-	for k, l := range c.leases {
-		out[k] = l
-	}
-	return out
-}
-
-func (c *Coordinator) leaseAcquire(campaign, job, worker string) {
-	c.mu.Lock()
-	c.leases[LeaseKey{Campaign: campaign, Job: job}] =
-		Lease{Worker: worker, Expires: time.Now().Add(c.cfg.RunTimeout)}
-	n := len(c.leases)
-	c.mu.Unlock()
-	if c.mInflight != nil {
-		c.mInflight.Set(float64(n))
-	}
-}
-
-func (c *Coordinator) leaseRelease(campaign, job string) {
-	c.mu.Lock()
-	delete(c.leases, LeaseKey{Campaign: campaign, Job: job})
-	n := len(c.leases)
-	c.mu.Unlock()
-	if c.mInflight != nil {
-		c.mInflight.Set(float64(n))
-	}
 }
 
 // slotsFor returns the shared slot pool for a worker, resizing it in
@@ -325,13 +247,6 @@ func (c *Coordinator) workerStat(addr string) *WorkerStats {
 		c.stats[addr] = ws
 	}
 	return ws
-}
-
-func (c *Coordinator) logf() *slog.Logger {
-	if c.log != nil {
-		return c.log
-	}
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
 // workerConn is one probed, healthy worker for the duration of a campaign.
@@ -379,7 +294,7 @@ func (c *Coordinator) probe(ctx context.Context) []*workerConn {
 		base := normalizeAddr(addr)
 		hello, err := c.hello(ctx, base)
 		if err != nil {
-			c.logf().Warn("worker probe failed", "worker", base, "err", err)
+			c.log.Warn("worker probe failed", "worker", base, "err", err)
 			if c.mWorkerUp != nil {
 				c.mWorkerUp.Set(0, base)
 			}
@@ -387,7 +302,7 @@ func (c *Coordinator) probe(ctx context.Context) []*workerConn {
 			continue
 		}
 		if hello.Proto != ProtoVersion {
-			c.logf().Warn("worker speaks a different protocol",
+			c.log.Warn("worker speaks a different protocol",
 				"worker", base, "proto", hello.Proto, "want", ProtoVersion)
 			if c.mWorkerUp != nil {
 				c.mWorkerUp.Set(0, base)
@@ -411,7 +326,7 @@ func (c *Coordinator) probe(ctx context.Context) []*workerConn {
 }
 
 func (c *Coordinator) hello(ctx context.Context, base string) (Hello, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+PathHello, nil)
 	if err != nil {
@@ -444,11 +359,10 @@ func (c *Coordinator) hello(ctx context.Context, base string) (Hello, error) {
 // coordinator is its Executor, with one lane per slot of advertised
 // worker capacity (see campaign.run).
 //
-// opt.Name names the campaign: the name keys the campaign's leases and
-// appears in coordinator logging, so a service scheduling concurrent
+// opt.Name names the campaign in coordinator logging and, as the trace
+// context's Campaign, on the wire, so a service scheduling concurrent
 // campaigns (gemstone serve) can attribute in-flight work to the tenant
-// campaign that owns it. Names must be unique among in-flight campaigns;
-// an empty Name is auto-assigned.
+// campaign that owns it. An empty Name is auto-assigned.
 //
 // Collect may be called concurrently: campaigns share the worker fleet
 // (per-worker capacity is enforced fleet-wide, so overlapping campaigns
@@ -469,11 +383,8 @@ func (c *Coordinator) Collect(ctx context.Context, pl *platform.Platform, opt co
 		if !ok {
 			reason = "platform has no wire spec"
 		}
-		c.logf().Info("degrading campaign to local execution",
+		c.log.Info("degrading campaign to local execution",
 			"platform", pl.Name(), "reason", reason)
-		c.mu.Lock()
-		c.degraded++
-		c.mu.Unlock()
 		probeSpan.Annotate(obs.Bool("degraded", true), obs.String("reason", reason))
 		probeSpan.End()
 		return core.Collect(ctx, pl, opt)
@@ -487,7 +398,7 @@ func (c *Coordinator) Collect(ctx context.Context, pl *platform.Platform, opt co
 		spec:  spec,
 		fp:    pl.Config().Fingerprint(),
 		conns: conns,
-		rng:   xrand.New(c.cfg.Seed),
+		rng:   xrand.New(jitterSeed),
 	}
 	lanes := 0
 	for _, w := range conns {
@@ -517,7 +428,7 @@ type campaign struct {
 // run is the campaign's core.Executor: it runs job on a live worker with
 // a free slot (see acquire), retrying after each retryable failure with
 // jittered backoff in between, and hands the job back to its lane
-// (core.ErrRunLocally) once MaxAttempts attempts have failed or no worker
+// (core.ErrRunLocally) once maxAttempts attempts have failed or no worker
 // is live. A simulation failure is terminal and returned as is. An
 // attempt cut short by ctx charges no worker.
 func (cp *campaign) run(ctx context.Context, lane int, j core.PlannedJob, span *obs.Span) (platform.Measurement, time.Duration, error) {
@@ -556,10 +467,10 @@ func (cp *campaign) run(ctx context.Context, lane int, j core.PlannedJob, span *
 		if cp.c.mRetries != nil {
 			cp.c.mRetries.Inc()
 		}
-		cp.c.logf().Warn("remote attempt failed",
+		cp.c.log.Warn("remote attempt failed",
 			"campaign", cp.opt.Name, "job", j.Key.String(),
 			"worker", w.base, "attempt", attempt, "err", err)
-		if attempt >= cp.c.cfg.MaxAttempts {
+		if attempt >= maxAttempts {
 			return platform.Measurement{}, 0, core.ErrRunLocally
 		}
 		delay := time.NewTimer(cp.backoff(attempt))
@@ -625,19 +536,17 @@ func (cp *campaign) acquire(ctx context.Context, lane, attempt int, span *obs.Sp
 	}
 }
 
-// dispatch runs one remote attempt of job j (wire ID id) on w under a
-// lease. span is the lane's trace span (nil when untraced); the dispatch
-// child it opens is the local-side window the worker's returned spans
-// are clamped into, so a stitched trace nests worker activity inside the
-// dispatch that provably contained it.
+// dispatch runs one remote attempt of job j (wire ID id) on w. span is
+// the lane's trace span (nil when untraced); the dispatch child it opens
+// is the local-side window the worker's returned spans are clamped into,
+// so a stitched trace nests worker activity inside the dispatch that
+// provably contained it.
 func (cp *campaign) dispatch(ctx context.Context, w *workerConn, j core.PlannedJob, id string, span *obs.Span) (platform.Measurement, time.Duration, error) {
 	var dspan *obs.Span
 	if span != nil {
 		dspan = span.Child("dispatch", obs.String("job", j.Key.String()), obs.String("worker", w.base))
 	}
-	cp.c.leaseAcquire(cp.opt.Name, id, w.base)
 	m, simSec, batch, err := cp.runRemote(ctx, w, j, id)
-	cp.c.leaseRelease(cp.opt.Name, id)
 	if err != nil {
 		dspan.Annotate(obs.String("error", err.Error()))
 		dspan.End()
@@ -683,14 +592,14 @@ func (cp *campaign) noteWorkerFailure(w *workerConn, err error) {
 	cp.c.mu.Lock()
 	st.Alive = false
 	cp.c.mu.Unlock()
-	cp.c.logf().Warn("worker benched for this campaign", "worker", w.base, "err", err)
+	cp.c.log.Warn("worker benched for this campaign", "worker", w.base, "err", err)
 }
 
 // backoff computes the jittered delay before attempt n+1.
 func (cp *campaign) backoff(n int) time.Duration {
-	d := cp.c.cfg.BackoffBase << (n - 1)
-	if d > cp.c.cfg.BackoffMax || d <= 0 {
-		d = cp.c.cfg.BackoffMax
+	d := backoffBase << (n - 1)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	cp.rngMu.Lock()
 	f := 0.5 + cp.rng.Float64()
@@ -707,7 +616,7 @@ func (cp *campaign) CollectDone(s core.CollectStats) {
 		cp.c.mJobs.Add(float64(s.CacheHits), "cache")
 		cp.c.mJobs.Add(float64(s.Simulated-remote), "local")
 	}
-	cp.c.logf().Info("distributed campaign done",
+	cp.c.log.Info("distributed campaign done",
 		"campaign", cp.opt.Name, "platform", s.Platform, "jobs", s.Jobs,
 		"remote", remote, "local", s.Simulated-remote, "cache_hits", s.CacheHits,
 		"errors", s.Errors, "wall", s.WallTime.Round(time.Millisecond).String())
@@ -752,9 +661,10 @@ type workerSpanBatch struct {
 	lo, hi time.Time
 }
 
-// runRemote performs one HTTP attempt of job j against w under the lease
-// timeout, verifying protocol version, job identity and payload digest
-// before trusting the measurement. When the job was traced and the worker
+// runRemote performs one HTTP attempt of job j against w under
+// runTimeout, counted in gemstone_dist_inflight_leases while it runs,
+// verifying protocol version, job identity and payload digest before
+// trusting the measurement. When the job was traced and the worker
 // returned spans, the non-nil batch carries them with a clock-offset
 // estimate derived from the exchange's four timestamps (the coordinator's
 // send/receive bracket the worker's receive/done, NTP-style):
@@ -766,6 +676,10 @@ type workerSpanBatch struct {
 // spans can therefore never escape the dispatch span that contains them,
 // whatever the skew (including negative offsets).
 func (cp *campaign) runRemote(ctx context.Context, w *workerConn, j core.PlannedJob, id string) (platform.Measurement, float64, *workerSpanBatch, error) {
+	if cp.c.mInflight != nil {
+		cp.c.mInflight.Add(1)
+		defer cp.c.mInflight.Add(-1)
+	}
 	job := Job{
 		Proto:      ProtoVersion,
 		ID:         id,
@@ -789,7 +703,7 @@ func (cp *campaign) runRemote(ctx context.Context, w *workerConn, j core.Planned
 	if err := gob.NewEncoder(&body).Encode(job); err != nil {
 		return platform.Measurement{}, 0, nil, &remoteError{"encode", err}
 	}
-	ctx, cancel := context.WithTimeout(ctx, cp.c.cfg.RunTimeout)
+	ctx, cancel := context.WithTimeout(ctx, runTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+PathRun, bytes.NewReader(body.Bytes()))
 	if err != nil {

@@ -130,14 +130,22 @@ func TestRoundTrip(t *testing.T) {
 	if got := snap[`gemstone_dist_jobs_total{mode="remote"}`]; got != float64(n) {
 		t.Fatalf("gemstone_dist_jobs_total{mode=remote} = %v, want %d", got, n)
 	}
-	if got := snap[`gemstone_dist_inflight_leases`]; got != 0 {
-		t.Fatalf("leases leaked: gauge = %v", got)
+	assertNoInflight(t, reg)
+}
+
+// assertNoInflight fails unless gemstone_dist_inflight_leases reads 0:
+// every remote attempt that raised the gauge lowered it again.
+func assertNoInflight(t *testing.T, reg *obs.Registry) {
+	t.Helper()
+	if got := reg.Snapshot()["gemstone_dist_inflight_leases"]; got != 0 {
+		t.Errorf("gemstone_dist_inflight_leases = %v after the campaign, want 0", got)
 	}
 }
 
 // TestZeroWorkersDegradesToLocal pins graceful degradation: no workers
 // configured, or none answering, must run the campaign locally with no
-// error and identical bytes.
+// error and identical bytes, marked on the traced probe span and with no
+// job counted remote.
 func TestZeroWorkersDegradesToLocal(t *testing.T) {
 	n := campaignSize(t)
 	local, err := core.Collect(context.Background(), hw.Platform(), campaignOpts(n))
@@ -149,19 +157,36 @@ func TestZeroWorkersDegradesToLocal(t *testing.T) {
 		"unreachable": {"127.0.0.1:1"}, // reserved port: connection refused
 	} {
 		t.Run(name, func(t *testing.T) {
-			coord := NewCoordinator(CoordinatorConfig{
-				Workers:      workers,
-				ProbeTimeout: 2 * time.Second,
-			})
-			rs, err := coord.Collect(context.Background(), hw.Platform(), campaignOpts(n))
+			reg := obs.NewRegistry()
+			coord := NewCoordinator(CoordinatorConfig{Workers: workers, Registry: reg})
+			tr := obs.NewTracer()
+			opt := campaignOpts(n)
+			opt.Tracer = tr
+			rs, err := coord.Collect(context.Background(), hw.Platform(), opt)
 			if err != nil {
 				t.Fatalf("degraded campaign errored: %v", err)
 			}
 			if !bytes.Equal(archiveBytes(t, rs), archiveBytes(t, local)) {
 				t.Fatal("degraded archive differs from local")
 			}
-			if coord.DegradedCampaigns() != 1 {
-				t.Fatalf("DegradedCampaigns = %d, want 1", coord.DegradedCampaigns())
+			var probes []obs.Event
+			for _, ev := range tr.Events() {
+				if ev.Name == "probe" {
+					probes = append(probes, ev)
+				}
+			}
+			if len(probes) != 1 {
+				t.Fatalf("%d probe spans, want 1", len(probes))
+			}
+			attrs := map[string]any{}
+			for _, a := range probes[0].Attrs {
+				attrs[a.Key] = a.Value
+			}
+			if attrs["degraded"] != true || attrs["reason"] != "no workers available" {
+				t.Fatalf("probe span attrs %v, want degraded=true reason=%q", attrs, "no workers available")
+			}
+			if got := reg.Snapshot()[`gemstone_dist_jobs_total{mode="remote"}`]; got != 0 {
+				t.Fatalf("gemstone_dist_jobs_total{mode=remote} = %v, want 0", got)
 			}
 		})
 	}
@@ -193,11 +218,9 @@ func TestGoldenChaosEquivalence(t *testing.T) {
 	chaos := &Chaos{Seed: 7, DuplicateProb: 1, MaxFaults: 1}
 	reg := obs.NewRegistry()
 	coord := NewCoordinator(CoordinatorConfig{
-		Workers:     []string{w1.URL, w2.URL},
-		Client:      &http.Client{Transport: chaos},
-		RunTimeout:  time.Minute,
-		BackoffBase: time.Millisecond,
-		Registry:    reg,
+		Workers:  []string{w1.URL, w2.URL},
+		Client:   &http.Client{Transport: chaos},
+		Registry: reg,
 	})
 	dist, err := coord.Collect(context.Background(), hw.Platform(), campaignOpts(n))
 	if err != nil {
@@ -225,10 +248,9 @@ func TestCorruptPayloadRetried(t *testing.T) {
 	chaos := &Chaos{Seed: 3, CorruptProb: 1, MaxFaults: 2}
 	reg := obs.NewRegistry()
 	coord := NewCoordinator(CoordinatorConfig{
-		Workers:     []string{startWorker(t, nil).URL},
-		Client:      &http.Client{Transport: chaos},
-		BackoffBase: time.Millisecond,
-		Registry:    reg,
+		Workers:  []string{startWorker(t, nil).URL},
+		Client:   &http.Client{Transport: chaos},
+		Registry: reg,
 	})
 	dist, err := coord.Collect(context.Background(), hw.Platform(), campaignOpts(n))
 	if err != nil {
@@ -249,16 +271,15 @@ func TestCorruptPayloadRetried(t *testing.T) {
 	}
 }
 
-// TestDroppedResponseReassigned pins lease-style reassignment: the worker
+// TestDroppedResponseReassigned pins reassignment: the worker
 // executes the job but the response is lost; the retry must succeed and
 // the extra execution must not double-record.
 func TestDroppedResponseReassigned(t *testing.T) {
 	n := campaignSize(t)
 	chaos := &Chaos{Seed: 5, DropProb: 1, MaxFaults: 1}
 	coord := NewCoordinator(CoordinatorConfig{
-		Workers:     []string{startWorker(t, nil).URL},
-		Client:      &http.Client{Transport: chaos},
-		BackoffBase: time.Millisecond,
+		Workers: []string{startWorker(t, nil).URL},
+		Client:  &http.Client{Transport: chaos},
 	})
 	rs, err := coord.Collect(context.Background(), hw.Platform(), campaignOpts(n))
 	if err != nil {
@@ -298,6 +319,7 @@ func TestSimulationErrorIsTerminal(t *testing.T) {
 	if reg.Snapshot()[`gemstone_dist_retries_total`] != 0 {
 		t.Fatal("terminal failure was retried")
 	}
+	assertNoInflight(t, reg)
 }
 
 // TestCancellationCause pins context.Cause propagation through the
@@ -385,9 +407,8 @@ func cancelledRemoteCampaign(t *testing.T) (*Coordinator, *obs.Registry, *runCou
 	})
 	reg := obs.NewRegistry()
 	coord := NewCoordinator(CoordinatorConfig{
-		Workers:     []string{srv.URL},
-		BackoffBase: time.Millisecond,
-		Registry:    reg,
+		Workers:  []string{srv.URL},
+		Registry: reg,
 	})
 	counter := newRunCounter()
 	opt := campaignOpts(2)
@@ -507,7 +528,7 @@ func TestLocalFallbackBoundedByWorkers(t *testing.T) {
 		http.Error(w, "worker is dying", http.StatusServiceUnavailable)
 	}))
 	t.Cleanup(srv.Close)
-	coord := NewCoordinator(CoordinatorConfig{Workers: []string{srv.URL}, BackoffBase: time.Millisecond})
+	coord := NewCoordinator(CoordinatorConfig{Workers: []string{srv.URL}})
 
 	tracer := obs.NewTracer()
 	opt := campaignOpts(3)
@@ -563,6 +584,7 @@ func TestCancellationChargesNoWorker(t *testing.T) {
 	if got := snap[`gemstone_dist_worker_up{worker="`+url+`"}`]; got != 1 {
 		t.Errorf("gemstone_dist_worker_up = %v, want 1", got)
 	}
+	assertNoInflight(t, reg)
 }
 
 // TestCacheIntegration pins that the coordinator shares the content-

@@ -5,7 +5,7 @@
 // stream measurements back. The paper's workflow (Fig. 1) is
 // embarrassingly parallel across (workload x cluster x DVFS) runs, so the
 // coordinator's only hard job is fault tolerance: retry with exponential
-// backoff and jitter, per-job lease timeouts, reassignment when a worker
+// backoff and jitter, per-attempt timeouts, reassignment when a worker
 // dies mid-job, and graceful degradation to pure-local execution when no
 // workers answer. The contract is bit-for-bit equivalence: a distributed
 // campaign produces the identical canonical RunSet archive as a local

@@ -309,11 +309,7 @@ func TestTraceKillSwitchNoOrphans(t *testing.T) {
 		kill.Handler = h
 		return kill
 	})
-	coord := NewCoordinator(CoordinatorConfig{
-		Workers:     []string{srv.URL},
-		BackoffBase: time.Millisecond,
-		BackoffMax:  5 * time.Millisecond,
-	})
+	coord := NewCoordinator(CoordinatorConfig{Workers: []string{srv.URL}})
 	tr := obs.NewTracer()
 	opt := campaignOpts(2)
 	opt.Tracer = tr
@@ -369,9 +365,8 @@ func TestTraceChaosImportsEachRunOnce(t *testing.T) {
 	// Seed 3 draws 0.11 then 0.70: a drop, then a duplicate.
 	chaos := &Chaos{Seed: 3, DropProb: 0.5, DuplicateProb: 0.5, MaxFaults: 2}
 	coord := NewCoordinator(CoordinatorConfig{
-		Workers:     []string{startWorker(t, nil).URL, startWorker(t, nil).URL},
-		Client:      &http.Client{Transport: chaos},
-		BackoffBase: time.Millisecond,
+		Workers: []string{startWorker(t, nil).URL, startWorker(t, nil).URL},
+		Client:  &http.Client{Transport: chaos},
 	})
 	tr := obs.NewTracer()
 	opt := campaignOpts(n)

@@ -386,15 +386,6 @@ func TestValidatorPESign(t *testing.T) {
 	}
 }
 
-func TestValidatorAsObserver(t *testing.T) {
-	var _ core.CollectObserver = (*Validator)(nil)
-	v := NewValidator(nil)
-	v.RunDone(core.RunKey{}, goodMeasurement("gem5-ex5-v1"), time.Second)
-	if v.Checks() == 0 {
-		t.Fatal("RunDone must validate the measurement")
-	}
-}
-
 func invariants(v *Validator) map[string]bool {
 	out := map[string]bool{}
 	for _, d := range v.Violations() {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"gemstone/internal/core"
 	"gemstone/internal/obs"
@@ -29,11 +28,12 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("[%s] %s: %s", d.Invariant, d.Run, d.Detail)
 }
 
-// Validator sanity-checks raw simulator output while a campaign collects.
-// It implements core.CollectObserver, so -validate composes with the
-// progress and metrics observers via core.MultiObserver. Checks are
-// microarchitecture-level conservation laws: a violation means a
-// simulator defect (or an injected corruption), never a modelling error.
+// Validator sanity-checks raw simulator output: callers sweep each
+// completed run set through CheckMeasurement and CheckRunSet (a sweep,
+// unlike a per-run observer, also sees cache hits) and the validation
+// summary through CheckValidation. Checks are microarchitecture-level
+// conservation laws: a violation means a simulator defect (or an
+// injected corruption), never a modelling error.
 type Validator struct {
 	mu         sync.Mutex
 	checks     int
@@ -82,29 +82,6 @@ func (v *Validator) AddPlatform(pl *platform.Platform) {
 	v.issueWidth[cfg.Name] = widths
 	v.sensored[cfg.Name] = cfg.HasSensors
 }
-
-// CollectStart implements core.CollectObserver.
-func (v *Validator) CollectStart(string, int) {}
-
-// RunStart implements core.CollectObserver.
-func (v *Validator) RunStart(core.RunKey) {}
-
-// CacheHit implements core.CollectObserver. Cached measurements are
-// validated when the caller replays them through CheckRunSet /
-// CheckMeasurement; the observer hook itself has no measurement to check.
-func (v *Validator) CacheHit(core.RunKey) {}
-
-// RunDone implements core.CollectObserver: every freshly simulated
-// measurement is checked as it lands.
-func (v *Validator) RunDone(_ core.RunKey, m platform.Measurement, _ time.Duration) {
-	v.CheckMeasurement(m)
-}
-
-// RunError implements core.CollectObserver.
-func (v *Validator) RunError(core.RunKey, error) {}
-
-// CollectDone implements core.CollectObserver.
-func (v *Validator) CollectDone(core.CollectStats) {}
 
 // relTol reports |a−b| ≤ eps·max(|a|,|b|) — the comparison used for
 // identities that survive float64 round-trips (energy = power × time).

@@ -66,8 +66,6 @@ func (m Mix) weights() []float64 {
 type Config struct {
 	// BaseURL is the gemstone serve endpoint ("http://host:port").
 	BaseURL string
-	// Client issues all requests; nil builds one sized for Concurrency.
-	Client *http.Client
 	// Concurrency is the number of in-flight request slots. In closed-
 	// loop mode it is the offered concurrency (each slot issues
 	// back-to-back); in open-loop mode it bounds parallel execution of
@@ -100,8 +98,6 @@ type Config struct {
 	// {1000}.
 	Cluster  string
 	FreqsMHz []int
-	// OpTimeout bounds one operation end-to-end; 0 means 120s.
-	OpTimeout time.Duration
 	// Log, when non-nil, receives driver progress logging.
 	Log *slog.Logger
 }
@@ -128,11 +124,11 @@ func (c Config) withDefaults() Config {
 	if len(c.FreqsMHz) == 0 {
 		c.FreqsMHz = []int{1000}
 	}
-	if c.OpTimeout == 0 {
-		c.OpTimeout = 120 * time.Second
-	}
 	return c
 }
+
+// opTimeout bounds one operation end-to-end.
+const opTimeout = 120 * time.Second
 
 // completedRec is one finished campaign a tenant can replay against.
 type completedRec struct {
@@ -147,6 +143,7 @@ type shard struct {
 	issued   map[OpKind]int
 	okCount  map[OpKind]int
 	rejected map[OpKind]int
+	stale    map[OpKind]int
 	errs     map[OpKind]int
 	done     int // campaign "done" frames observed
 	failed   int // campaign "error" frames observed
@@ -159,6 +156,7 @@ func newShard() *shard {
 		issued:   map[OpKind]int{},
 		okCount:  map[OpKind]int{},
 		rejected: map[OpKind]int{},
+		stale:    map[OpKind]int{},
 		errs:     map[OpKind]int{},
 	}
 	for _, k := range OpKinds {
@@ -178,28 +176,32 @@ type Driver struct {
 	coldSeq atomic.Int64
 
 	mu        sync.Mutex
+	window    int                       // per-tenant replay window, set before Run's workers start
 	completed map[string][]completedRec // tenant → finished campaigns
 }
 
 // maxReplayTargets caps the Zipf rank space for replay-target
-// selection; the actual per-tenant window is replayWindow().
+// selection; the actual per-tenant window is replayWindow's.
 const maxReplayTargets = 48
 
+// retentionSlack keeps the tenants' replay windows together this far
+// below the server's retention cap: campaigns settling while the
+// windows slide count against retention too.
+const retentionSlack = 8
+
 // replayWindow sizes the per-tenant completed-campaign window the
-// replay ops draw from: the tenants' windows together stay below
-// serve's default retention cap (64 terminal campaigns fleet-wide,
-// evicted oldest-first), so a windowed target is usually still
-// retained when a replay op reaches it. Targets that lose the race
-// with eviction anyway are pruned on 404.
-func (d *Driver) replayWindow() int {
-	w := 56 / d.cfg.Tenants
-	if w < 4 {
-		w = 4
+// replay ops draw from, given the server's retention cap (terminal
+// campaigns kept fleet-wide and evicted oldest-first; negative retains
+// forever) and the tenant count. The windows together stay
+// retentionSlack below the cap, so a windowed target is usually still
+// retained when a replay op reaches it; targets that lose the race with
+// eviction anyway are pruned on 404. A tenant whose share rounds to
+// zero keeps no targets and its replay ops run cold.
+func replayWindow(retained, tenants int) int {
+	if retained < 0 {
+		return maxReplayTargets
 	}
-	if w > maxReplayTargets {
-		w = maxReplayTargets
-	}
-	return w
+	return min(max(retained-retentionSlack, 0)/tenants, maxReplayTargets)
 }
 
 // NewDriver validates cfg and builds a driver.
@@ -217,33 +219,21 @@ func NewDriver(cfg Config) (*Driver, error) {
 		return nil, fmt.Errorf("load: invoke length %d exceeds the %d-workload catalogue",
 			cfg.InvokeLength, len(catalog))
 	}
-	client := cfg.Client
-	if client == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConnsPerHost = cfg.Concurrency + 2
-		client = &http.Client{Transport: tr}
-	}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = cfg.Concurrency + 2
 	log := cfg.Log
 	if log == nil {
-		log = slog.New(discardHandler{})
+		log = obs.Discard
 	}
 	return &Driver{
 		cfg:       cfg,
 		mix:       cfg.Mix.orDefault(),
-		client:    client,
+		client:    &http.Client{Transport: tr},
 		catalog:   catalog,
 		log:       log,
 		completed: map[string][]completedRec{},
 	}, nil
 }
-
-// discardHandler drops log records (slog.DiscardHandler is Go 1.24+).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // tenantName formats the i-th tenant namespace.
 func tenantName(i int) string { return fmt.Sprintf("load-t%d", i) }
@@ -253,6 +243,11 @@ func tenantName(i int) string { return fmt.Sprintf("load-t%d", i) }
 // server, missing /metrics); request-level failures are counted in the
 // report instead.
 func (d *Driver) Run(ctx context.Context) (*Report, error) {
+	retained, err := d.fetchRetention(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("load: reading the server's retention: %w", err)
+	}
+	d.window = replayWindow(retained, d.cfg.Tenants)
 	base, err := d.scrapeMetrics(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("load: baseline metrics scrape: %w", err)
@@ -375,7 +370,7 @@ func (d *Driver) runOp(ctx context.Context, sh *shard, op OpKind, tenant string,
 	}
 	sh.issued[op]++
 
-	opCtx, cancel := context.WithTimeout(ctx, d.cfg.OpTimeout)
+	opCtx, cancel := context.WithTimeout(ctx, opTimeout)
 	defer cancel()
 
 	var err error
@@ -395,10 +390,10 @@ func (d *Driver) runOp(ctx context.Context, sh *shard, op OpKind, tenant string,
 		sh.rejected[op]++
 		// Back off briefly so a saturated admission queue isn't hammered.
 		sleepUntil(ctx, time.Now().Add(time.Duration(5+rng.Intn(25))*time.Millisecond))
+	case errors.Is(err, errStale):
+		d.dropCompleted(tenant, target.id)
+		sh.stale[op]++
 	case err != nil:
-		if errors.Is(err, errStale) && target != nil {
-			d.dropCompleted(tenant, target.id)
-		}
 		sh.errs[op]++
 		sh.lastErr = err
 		d.log.Warn("op failed", "op", string(op), "tenant", tenant, "err", err)
@@ -457,8 +452,8 @@ func (d *Driver) noteCompleted(tenant, id string, spec *serve.CampaignSpec) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	list := append(d.completed[tenant], completedRec{id: id, spec: spec})
-	if w := d.replayWindow(); len(list) > w {
-		list = list[len(list)-w:]
+	if len(list) > d.window {
+		list = list[len(list)-d.window:]
 	}
 	d.completed[tenant] = list
 }
@@ -480,8 +475,9 @@ func (d *Driver) dropCompleted(tenant, id string) {
 var errRejected = fmt.Errorf("load: admission rejected")
 
 // errStale marks a replay target the service has evicted (404): the
-// driver prunes it and moves on — retention is the service's contract,
-// not an SLO failure, but repeated hits would be the driver's bug.
+// driver prunes it, tallies it apart from errors and moves on —
+// retention is the service's contract, not an SLO failure, but repeated
+// hits would be the driver's bug.
 var errStale = fmt.Errorf("load: replay target evicted")
 
 // campaignOp submits spec and follows its SSE stream to the terminal
@@ -639,6 +635,24 @@ func (d *Driver) scrapeMetrics(ctx context.Context) (*Metrics, error) {
 		return nil, fmt.Errorf("GET /metrics: status %d (reconciliation needs the serve registry)", resp.StatusCode)
 	}
 	return ParseMetrics(resp.Body)
+}
+
+// fetchRetention reads the server's retention cap
+// (campaigns.max_retained) from /v1/statusz.
+func (d *Driver) fetchRetention(ctx context.Context) (int, error) {
+	raw, err := d.fetchStatusz(ctx)
+	if err != nil {
+		return 0, err
+	}
+	var sz struct {
+		Campaigns struct {
+			MaxRetained int `json:"max_retained"`
+		} `json:"campaigns"`
+	}
+	if err := json.Unmarshal(raw, &sz); err != nil {
+		return 0, fmt.Errorf("decoding /v1/statusz: %w", err)
+	}
+	return sz.Campaigns.MaxRetained, nil
 }
 
 // fetchStatusz fetches the raw /v1/statusz snapshot.

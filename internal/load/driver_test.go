@@ -3,11 +3,16 @@ package load
 import (
 	"context"
 	"encoding/json"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"gemstone/internal/core"
 	"gemstone/internal/dist"
+	"gemstone/internal/obs"
+	"gemstone/internal/serve"
+	"gemstone/internal/xrand"
 )
 
 // runDuration scales load windows down under -short.
@@ -168,6 +173,89 @@ func TestDriverOpenLoop(t *testing.T) {
 	}
 	if !r.OK {
 		t.Fatalf("reconciliation failed:\n%s", r)
+	}
+}
+
+// TestReplayWindow pins the window sizing: at serve's default retention
+// every tenant count the load scripts use gets 56/tenants targets
+// (capped at maxReplayTargets), and the windows never sum past the
+// retention less its slack.
+func TestReplayWindow(t *testing.T) {
+	for tenants := 1; tenants <= 14; tenants++ {
+		if got, want := replayWindow(serve.DefaultMaxRetained, tenants), min(56/tenants, maxReplayTargets); got != want {
+			t.Errorf("replayWindow(%d, %d) = %d, want %d", serve.DefaultMaxRetained, tenants, got, want)
+		}
+	}
+	for _, retained := range []int{0, 4, 8, 9, 16, 64, 200} {
+		for _, tenants := range []int{1, 3, 20, 100} {
+			if w := replayWindow(retained, tenants); w < 0 || w*tenants > max(retained-retentionSlack, 0) {
+				t.Errorf("replayWindow(%d, %d) = %d: windows sum to %d", retained, tenants, w, w*tenants)
+			}
+		}
+	}
+	if got := replayWindow(-1, 20); got != maxReplayTargets {
+		t.Errorf("retain-forever window = %d, want %d", got, maxReplayTargets)
+	}
+}
+
+// TestReplayWindowsFitRetention drives more tenants than the service
+// retains campaigns: 20 tenants against a 16-campaign retention cap. The
+// driver must size its windows from the server's statusz, so no replay
+// reaches an evicted campaign and no op errors; a replay that does
+// reach one is tallied as stale, pruned, and not counted as an error.
+func TestReplayWindowsFitRetention(t *testing.T) {
+	const retained, tenants = 16, 20
+	svc := serve.New(serve.Config{
+		Cache:       core.NewMemoryCache(0),
+		Registry:    obs.NewRegistry(),
+		MaxRetained: retained,
+	})
+	defer svc.Close()
+	api := httptest.NewServer(svc.Handler())
+	defer api.Close()
+
+	d, err := NewDriver(Config{
+		BaseURL:     api.URL,
+		Concurrency: 4,
+		Duration:    runDuration(t, 2*time.Second),
+		Seed:        17,
+		Skew:        1.1,
+		Tenants:     tenants,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := d.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := d.window * tenants; sum > retained {
+		t.Fatalf("replay windows sum to %d, over the %d-campaign retention", sum, retained)
+	}
+	held := 0
+	for _, list := range d.completed {
+		held += len(list)
+	}
+	if held > retained {
+		t.Fatalf("driver holds %d replay targets, over the %d-campaign retention", held, retained)
+	}
+	for _, op := range r.Ops {
+		if op.Errors != 0 {
+			t.Errorf("op %s: %d errors (last: %s)", op.Op, op.Errors, r.LastError)
+		}
+	}
+
+	const tenant = "load-t0"
+	d.completed[tenant] = []completedRec{{id: "c-999999", spec: d.coldSpec()}}
+	sh := newShard()
+	rng := xrand.New(1)
+	d.runOp(context.Background(), sh, OpEvents, tenant, rng, NewZipf(rng.Split(), maxReplayTargets, 0), time.Now())
+	if sh.stale[OpEvents] != 1 || sh.errs[OpEvents] != 0 {
+		t.Fatalf("evicted replay target: stale %d, errors %d; want 1 and 0",
+			sh.stale[OpEvents], sh.errs[OpEvents])
+	}
+	if len(d.completed[tenant]) != 0 {
+		t.Fatal("evicted replay target was not pruned")
 	}
 }
 

@@ -19,6 +19,7 @@ type OpStats struct {
 	Issued   int    `json:"issued"`
 	OK       int    `json:"ok"`
 	Rejected int    `json:"rejected,omitempty"` // admission-control 429s
+	Stale    int    `json:"stale,omitempty"`    // replay targets already evicted (404), pruned
 	Errors   int    `json:"errors,omitempty"`
 
 	ThroughputRPS float64 `json:"throughput_rps"`
@@ -114,6 +115,7 @@ func (d *Driver) buildReport(mode string, wall time.Duration, shards []*shard,
 			st.Issued += sh.issued[k]
 			st.OK += sh.okCount[k]
 			st.Rejected += sh.rejected[k]
+			st.Stale += sh.stale[k]
 			st.Errors += sh.errs[k]
 		}
 		if st.Issued == 0 {
@@ -263,11 +265,11 @@ func (r *Report) String() string {
 	if r.Backlog > 0 {
 		fmt.Fprintf(&b, "  backlog: %d scheduled arrivals never issued (scheduler outran workers)\n", r.Backlog)
 	}
-	fmt.Fprintf(&b, "  %-9s %7s %7s %7s %6s %9s %9s %9s %9s %9s\n",
-		"op", "issued", "ok", "reject", "err", "rps", "p50ms", "p95ms", "p99ms", "maxms")
+	fmt.Fprintf(&b, "  %-9s %7s %7s %7s %6s %6s %9s %9s %9s %9s %9s\n",
+		"op", "issued", "ok", "reject", "stale", "err", "rps", "p50ms", "p95ms", "p99ms", "maxms")
 	for _, op := range r.Ops {
-		fmt.Fprintf(&b, "  %-9s %7d %7d %7d %6d %9.2f %9.2f %9.2f %9.2f %9.2f\n",
-			op.Op, op.Issued, op.OK, op.Rejected, op.Errors,
+		fmt.Fprintf(&b, "  %-9s %7d %7d %7d %6d %6d %9.2f %9.2f %9.2f %9.2f %9.2f\n",
+			op.Op, op.Issued, op.OK, op.Rejected, op.Stale, op.Errors,
 			op.ThroughputRPS, op.P50Ms, op.P95Ms, op.P99Ms, op.MaxMs)
 	}
 	fmt.Fprintf(&b, "  campaigns: %d done, %d failed\n", r.CampaignsDone, r.CampaignsFailed)

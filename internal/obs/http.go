@@ -96,7 +96,7 @@ type writerOnly struct{ io.Writer }
 // Unwrap exposes the wrapped writer to http.ResponseController.
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
-// InstrumentHandler wraps h with request metrics labelled by route (a
+// InstrumentHandlerLog wraps h with request metrics labelled by route (a
 // static pattern like "/v1/campaigns/{id}/events", never the raw URL —
 // raw paths would explode series cardinality), method and status code:
 //
@@ -104,19 +104,14 @@ func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter 
 //	<name>_requests_in_flight{route}
 //	<name>_request_seconds{route,method}
 //
-// The route label is passed explicitly rather than read back from the
+// and with request logging: every request is assigned an ID (echoed in
+// the X-Gemstone-Request-ID response header) and logged on completion
+// with method, route, status, duration and whatever attributes correlate
+// extracts from the request (the campaign service returns tenant and
+// campaign ID). A nil log disables the logging side, a nil reg the
+// metrics side; with both nil the handler is returned unwrapped. The
+// route label is passed explicitly rather than read back from the
 // request so the middleware works on any Go 1.22 mux.
-func InstrumentHandler(reg *Registry, name, route string, h http.Handler) http.Handler {
-	return InstrumentHandlerLog(reg, name, route, h, nil, nil)
-}
-
-// InstrumentHandlerLog is InstrumentHandler plus request logging: every
-// request is assigned an ID (echoed in the X-Gemstone-Request-ID response
-// header) and logged on completion with method, route, status, duration
-// and whatever attributes correlate extracts from the request (the
-// campaign service returns tenant and campaign ID). A nil log disables
-// the logging side, a nil reg the metrics side; with both nil the handler
-// is returned unwrapped.
 func InstrumentHandlerLog(reg *Registry, name, route string, h http.Handler,
 	log *slog.Logger, correlate func(*http.Request) []any) http.Handler {
 	if reg == nil && log == nil {

@@ -63,7 +63,7 @@ func TestInstrumentHandlerLogNilBoth(t *testing.T) {
 // keep working behind the middleware.
 func TestStatusRecorderHijack(t *testing.T) {
 	reg := NewRegistry()
-	h := InstrumentHandler(reg, "svc", "/hijack", http.HandlerFunc(
+	h := InstrumentHandlerLog(reg, "svc", "/hijack", http.HandlerFunc(
 		func(w http.ResponseWriter, _ *http.Request) {
 			hj, ok := w.(http.Hijacker)
 			if !ok {
@@ -79,7 +79,7 @@ func TestStatusRecorderHijack(t *testing.T) {
 			defer conn.Close()
 			_, _ = rw.WriteString("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\ntaken")
 			_ = rw.Flush()
-		}))
+		}), nil, nil)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -155,14 +155,14 @@ func TestStatusRecorderReadFromFallback(t *testing.T) {
 // TestStatusRecorderUnwrap keeps http.ResponseController working through
 // the wrapper.
 func TestStatusRecorderUnwrap(t *testing.T) {
-	srv := httptest.NewServer(InstrumentHandler(NewRegistry(), "svc", "/rc", http.HandlerFunc(
+	srv := httptest.NewServer(InstrumentHandlerLog(NewRegistry(), "svc", "/rc", http.HandlerFunc(
 		func(w http.ResponseWriter, _ *http.Request) {
 			rc := http.NewResponseController(w)
 			if err := rc.Flush(); err != nil {
 				t.Errorf("ResponseController.Flush through wrapper: %v", err)
 			}
 			_, _ = io.WriteString(w, "ok")
-		})))
+		}), nil, nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/rc")
 	if err != nil {

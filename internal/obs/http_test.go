@@ -10,14 +10,14 @@ import (
 
 func TestInstrumentHandlerMetrics(t *testing.T) {
 	reg := NewRegistry()
-	h := InstrumentHandler(reg, "svc", "/v1/thing/{id}",
+	h := InstrumentHandlerLog(reg, "svc", "/v1/thing/{id}",
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/v1/thing/missing" {
 				http.Error(w, "nope", http.StatusNotFound)
 				return
 			}
 			w.Write([]byte("ok")) // implicit 200
-		}))
+		}), nil, nil)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -50,7 +50,7 @@ func TestInstrumentHandlerMetrics(t *testing.T) {
 func TestInstrumentHandlerForwardsFlush(t *testing.T) {
 	reg := NewRegistry()
 	release := make(chan struct{})
-	h := InstrumentHandler(reg, "svc", "/stream",
+	h := InstrumentHandlerLog(reg, "svc", "/stream",
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			f, ok := w.(http.Flusher)
 			if !ok {
@@ -61,7 +61,7 @@ func TestInstrumentHandlerForwardsFlush(t *testing.T) {
 			w.Write([]byte("data: first\n\n"))
 			f.Flush()
 			<-release
-		}))
+		}), nil, nil)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 	defer close(release)

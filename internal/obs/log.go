@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -30,3 +31,15 @@ func NewLogger(w io.Writer, format string, level slog.Level) (*slog.Logger, erro
 		return nil, fmt.Errorf("obs: unknown log format %q (want %q or %q)", format, LogText, LogJSON)
 	}
 }
+
+// Discard is a logger that drops every record: what a component built
+// without a Log logs to. (slog.DiscardHandler needs Go 1.24; the module
+// targets 1.22.)
+var Discard = slog.New(discardHandler{})
+
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d discardHandler) WithGroup(string) slog.Handler           { return d }

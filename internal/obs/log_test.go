@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"log/slog"
 	"strings"
@@ -50,4 +51,11 @@ func TestNewLoggerDefaultAndBadFormat(t *testing.T) {
 	if _, err := NewLogger(&buf, "xml", slog.LevelInfo); err == nil {
 		t.Fatal("unknown format accepted")
 	}
+}
+
+func TestDiscardLogger(t *testing.T) {
+	if Discard.Enabled(context.Background(), slog.LevelError) {
+		t.Fatal("discard logger enabled at error level")
+	}
+	Discard.With("k", "v").WithGroup("g").Error("dropped")
 }

@@ -22,8 +22,7 @@ import (
 // attributed (Correlated) without asking the worker to build and return
 // spans (Recording).
 type TraceContext struct {
-	// Campaign names the owning campaign (the coordinator's lease-table
-	// key prefix, e.g. "c-000042/hw").
+	// Campaign names the owning campaign (e.g. "c-000042/hw").
 	Campaign string
 	// Tenant is the submitting tenant, when the campaign has one.
 	Tenant string
@@ -139,32 +138,6 @@ func NewSpanRecord(name string, start time.Time, end time.Time, attrs ...Attr) S
 		}
 	}
 	return rec
-}
-
-// Export snapshots every recorded span in wire form, with absolute times
-// (epoch + offset). A nil tracer exports nothing.
-func (t *Tracer) Export() []SpanRecord {
-	if t == nil {
-		return nil
-	}
-	events := t.Events()
-	out := make([]SpanRecord, len(events))
-	for i, ev := range events {
-		rec := SpanRecord{
-			Name:          ev.Name,
-			Lane:          ev.Lane,
-			StartUnixNano: t.epoch.Add(ev.Start).UnixNano(),
-			DurNanos:      int64(ev.Dur),
-		}
-		if len(ev.Attrs) > 0 {
-			rec.Attrs = make([]AttrRecord, len(ev.Attrs))
-			for j, a := range ev.Attrs {
-				rec.Attrs[j] = recordAttr(a)
-			}
-		}
-		out[i] = rec
-	}
-	return out
 }
 
 // ImportProcess merges a batch of remote spans into the trace as process

@@ -60,17 +60,14 @@ func TestNewSpanRecordClampsNegativeDuration(t *testing.T) {
 	}
 }
 
+// TestExportImport round-trips spans exported the way a worker exports
+// them (NewSpanRecord) through ImportProcess: names, attributes and
+// timing survive, and the spans land in the remote process group.
 func TestExportImport(t *testing.T) {
-	src := NewTracer()
-	root := src.Start("job", String("id", "k1"))
-	child := root.Child("simulate", Int("freq_mhz", 1000))
-	time.Sleep(2 * time.Millisecond)
-	child.End()
-	root.End()
-
-	recs := src.Export()
-	if len(recs) != 2 {
-		t.Fatalf("exported %d spans, want 2", len(recs))
+	start := time.Now()
+	recs := []SpanRecord{
+		NewSpanRecord("job", start, start.Add(3*time.Millisecond), String("id", "k1")),
+		NewSpanRecord("simulate", start.Add(time.Millisecond), start.Add(2*time.Millisecond), Int("freq_mhz", 1000)),
 	}
 
 	dst := NewTracer()
@@ -79,24 +76,26 @@ func TestExportImport(t *testing.T) {
 	if len(events) != 2 {
 		t.Fatalf("imported %d events, want 2", len(events))
 	}
-	names := map[string]bool{}
+	byName := map[string]Event{}
 	for _, ev := range events {
 		if ev.Proc == 0 {
 			t.Errorf("imported span %q kept the local process id", ev.Name)
 		}
-		names[ev.Name] = true
+		byName[ev.Name] = ev
 	}
-	if !names["job"] || !names["simulate"] {
-		t.Fatalf("imported span names %v", names)
+	job, sim := byName["job"], byName["simulate"]
+	if job.Dur != 3*time.Millisecond || sim.Dur != time.Millisecond || sim.Start-job.Start != time.Millisecond {
+		t.Fatalf("imported timing job %+v simulate %+v", job, sim)
+	}
+	if len(job.Attrs) != 1 || job.Attrs[0] != String("id", "k1") ||
+		len(sim.Attrs) != 1 || sim.Attrs[0] != Int("freq_mhz", 1000) {
+		t.Fatalf("imported attrs job %v simulate %v", job.Attrs, sim.Attrs)
 	}
 }
 
 func TestExportNilTracer(t *testing.T) {
+	// Import on a nil tracer must not panic.
 	var tr *Tracer
-	if got := tr.Export(); got != nil {
-		t.Fatalf("nil tracer exported %v", got)
-	}
-	// And import on a nil tracer must not panic.
 	tr.ImportProcess("w", []SpanRecord{{Name: "x"}}, 0, time.Time{}, time.Time{})
 }
 

@@ -24,9 +24,9 @@ import (
 )
 
 // CollectFunc executes one platform half of a campaign. opt.Name
-// attributes the work ("<campaign-id>/hw", "<campaign-id>/sim") so a
-// distributed coordinator can key its lease table per campaign, and
-// opt.Fidelity carries the simulation tier. Tests install a stub here.
+// attributes the work ("<campaign-id>/hw", "<campaign-id>/sim") in a
+// distributed coordinator's logging, and opt.Fidelity carries the
+// simulation tier. Tests install a stub here.
 type CollectFunc func(ctx context.Context, pl *platform.Platform, opt core.CollectOptions) (*core.RunSet, error)
 
 // Config assembles a campaign service.
@@ -47,8 +47,6 @@ type Config struct {
 	// Registry, when non-nil, receives gemstone_serve_* metrics and the
 	// per-route HTTP instrumentation.
 	Registry *obs.Registry
-	// Tracer, when non-nil, records one span per campaign.
-	Tracer *obs.Tracer
 	// TraceCampaigns, when true, gives every campaign its own fleet-wide
 	// tracer: the coordinator stitches worker-side spans into it and
 	// GET /v1/campaigns/{id}/trace serves the merged Chrome timeline once
@@ -101,6 +99,7 @@ var tenantRE = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
 // Close to stop accepting work and wait for running campaigns.
 type Server struct {
 	cfg    Config
+	log    *slog.Logger // cfg.Log, or a discarding logger
 	mux    *http.ServeMux
 	ctx    context.Context
 	cancel context.CancelCauseFunc
@@ -150,12 +149,16 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	s := &Server{
 		cfg:       cfg,
+		log:       cfg.Log,
 		ctx:       ctx,
 		cancel:    cancel,
 		campaigns: make(map[string]*Campaign),
 		perTenant: make(map[string]int),
 		started:   time.Now(),
 		slo:       newSLOTracker(),
+	}
+	if s.log == nil {
+		s.log = obs.Discard
 	}
 	if reg := cfg.Registry; reg != nil {
 		s.mCampaigns = reg.Counter("gemstone_serve_campaigns_total",
@@ -196,22 +199,6 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	return nil
 }
-
-func (s *Server) log() *slog.Logger {
-	if s.cfg.Log != nil {
-		return s.cfg.Log
-	}
-	return slog.New(discardHandler{})
-}
-
-// discardHandler drops records (slog.DiscardHandler is Go 1.24+; the
-// module targets 1.22).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // routes assembles the Go 1.22 method/wildcard mux, wrapping each route
 // in the registry's HTTP instrumentation and the request log when either
@@ -402,7 +389,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.emit(c, Event{Type: "submitted"})
 	go s.runCampaign(c)
 
-	s.log().Info("campaign accepted", "campaign", id, "tenant", tenant,
+	s.log.Info("campaign accepted", "campaign", id, "tenant", tenant,
 		"cluster", spec.Cluster, "workloads", len(spec.Workloads), "freqs", len(spec.FreqsMHz))
 	w.Header().Set("Location", "/v1/campaigns/"+id)
 	writeJSON(w, http.StatusAccepted, campaignStatus(c))
@@ -479,7 +466,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
-	s.log().Info("campaign deleted", "campaign", id, "tenant", tenant)
+	s.log.Info("campaign deleted", "campaign", id, "tenant", tenant)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -671,7 +658,7 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if err := core.SaveRunSet(w, rs); err != nil {
-		s.log().Warn("archive write failed", "campaign", c.ID, "err", err)
+		s.log.Warn("archive write failed", "campaign", c.ID, "err", err)
 	}
 }
 
@@ -707,12 +694,6 @@ func (s *Server) collector() CollectFunc {
 func (s *Server) runCampaign(c *Campaign) {
 	defer s.wg.Done()
 	start := time.Now()
-	var span *obs.Span
-	if s.cfg.Tracer != nil {
-		span = s.cfg.Tracer.Start("serve-campaign",
-			obs.String("campaign", c.ID), obs.String("tenant", c.Tenant))
-		defer span.End()
-	}
 	// The fleet-wide campaign trace: root brackets the whole campaign;
 	// the coordinator's collect spans and every worker's imported spans
 	// nest under it. Nil c.tracer (tracing disabled) makes every span
@@ -807,7 +788,7 @@ func (s *Server) runCampaign(c *Campaign) {
 			// "done" frame is not yet appended.
 			c.complete(hwSet, simSet, vs, Event{Type: "done", MAPE: vs.MAPE})
 			s.countEvent(c.Tenant, "done")
-			s.log().Info("campaign done", "campaign", c.ID, "tenant", c.Tenant,
+			s.log.Info("campaign done", "campaign", c.ID, "tenant", c.Tenant,
 				"mape", vs.MAPE, "wall", time.Since(start))
 			return
 		}
@@ -819,7 +800,7 @@ func (s *Server) runCampaign(c *Campaign) {
 	s.noteTerminal(c.Tenant, outcome)
 	c.failWith(err, Event{Type: "error", Error: err.Error()})
 	s.countEvent(c.Tenant, "error")
-	s.log().Warn("campaign failed", "campaign", c.ID, "tenant", c.Tenant, "err", err)
+	s.log.Warn("campaign failed", "campaign", c.ID, "tenant", c.Tenant, "err", err)
 }
 
 // noteTerminal counts a campaign's outcome and decrements the tenant's
@@ -877,7 +858,7 @@ func (s *Server) settle(c *Campaign, outcome string, wall time.Duration) {
 		if s.mEvicted != nil {
 			s.mEvicted.Add(float64(len(evicted)))
 		}
-		s.log().Info("evicted terminal campaigns beyond retention cap",
+		s.log.Info("evicted terminal campaigns beyond retention cap",
 			"evicted", evicted, "cap", s.cfg.MaxRetained)
 	}
 	if s.mActive != nil {
@@ -967,6 +948,6 @@ func (s *Server) appendLedger(c *Campaign, hwPl, simPl *platform.Platform,
 		Results:  ledger.ResultsFromValidation(vs, c.Spec.FreqMHz, nil),
 	}
 	if err := s.cfg.Ledger.Append(entry); err != nil {
-		s.log().Warn("ledger append failed", "campaign", c.ID, "err", err)
+		s.log.Warn("ledger append failed", "campaign", c.ID, "err", err)
 	}
 }

@@ -745,10 +745,8 @@ func TestChaosSoak(t *testing.T) {
 		MaxFaults:     30,
 	}
 	coord := dist.NewCoordinator(dist.CoordinatorConfig{
-		Workers:     []string{healthy.URL, doomed.URL},
-		Client:      &http.Client{Transport: chaos},
-		RunTimeout:  10 * time.Second,
-		MaxAttempts: 4,
+		Workers: []string{healthy.URL, doomed.URL},
+		Client:  &http.Client{Transport: chaos},
 	})
 	svc := New(Config{Coordinator: coord, Registry: obs.NewRegistry()})
 	defer svc.Close()

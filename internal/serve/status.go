@@ -121,7 +121,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := c.tracer.WriteChromeTrace(w); err != nil {
-		s.log().Warn("trace write failed", "campaign", c.ID, "err", err)
+		s.log.Warn("trace write failed", "campaign", c.ID, "err", err)
 	}
 }
 

@@ -29,6 +29,8 @@ fi
 
 go build ./...
 go vet ./...
+# bench/ is its own module, out of reach of the root ./...
+(cd bench && go vet ./...)
 # The race detector slows the simulator ~10x; the core campaign tests
 # need more than the default 10m timeout.
 go test -race -timeout 45m ./...
