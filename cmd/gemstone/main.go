@@ -401,23 +401,23 @@ func main() {
 	}
 
 	var hwRuns, simRuns *gemstone.RunSet
-	var flagged []gemstone.RunKey
+	var screened *gemstone.ScreenResult
 	switch {
 	case !needCampaign:
 	case *screen:
 		logger.Info("screening campaign", "workloads", len(profiles), "cluster", *cluster)
-		res, serr := gemstone.Screen(ctx, gemstone.HardwarePlatform(), gemstone.Gem5Platform(ver),
+		screened, err = gemstone.Screen(ctx, gemstone.HardwarePlatform(), gemstone.Gem5Platform(ver),
 			gemstone.ScreenOptions{
 				Options: opt(),
 				Collect: func(_ context.Context, pl *gemstone.Platform, o gemstone.CollectOptions) (*gemstone.RunSet, error) {
 					return collect(pl, o)
 				},
 			})
-		if serr != nil {
-			fatal(serr)
+		if err != nil {
+			fatal(err)
 		}
-		hwRuns, simRuns, flagged = res.HW, res.Sim, res.Flagged
-		logger.Info("screen complete", "points", len(res.ScreenedPE), "flagged", len(res.Flagged))
+		hwRuns, simRuns = screened.HW, screened.Sim
+		logger.Info("screen complete", "points", len(screened.ScreenedPE), "flagged", len(screened.Flagged))
 	default:
 		logger.Info("collecting hardware characterisation", "workloads", len(profiles), "cluster", *cluster)
 		hwRuns, err = collect(gemstone.HardwarePlatform(), opt())
@@ -664,8 +664,7 @@ func main() {
 			cluster:    *cluster,
 			freqMHz:    *freq,
 			fidelity:   fid,
-			screened:   *screen,
-			flagged:    flagged,
+			screened:   screened,
 			profiles:   profiles,
 			recorder:   recorder,
 			tracer:     tracer,
@@ -712,8 +711,7 @@ type ledgerInputs struct {
 	cluster    string
 	freqMHz    int
 	fidelity   gemstone.Fidelity
-	screened   bool
-	flagged    []gemstone.RunKey
+	screened   *gemstone.ScreenResult
 	profiles   []gemstone.WorkloadProfile
 	recorder   *gemstone.CampaignRecorder
 	tracer     *gemstone.Tracer
@@ -730,44 +728,8 @@ type ledgerInputs struct {
 // per-workload errors, power-model quality, lmbench digest) and any
 // validator diagnostics.
 func buildLedgerEntry(in ledgerInputs) gemstone.LedgerEntry {
-	hwCfg, simCfg := in.hw.Config(), in.sim.Config()
-	names, setHash, seed := ledger.WorkloadSetDigest(in.profiles)
-	// The DVFS grid is the one the hardware campaign swept.
-	grid := map[string][]int{}
-	for k := range in.hwRuns.Runs {
-		grid[k.Cluster] = append(grid[k.Cluster], k.FreqMHz)
-	}
-	for cluster, freqs := range grid {
-		slices.Sort(freqs)
-		grid[cluster] = slices.Compact(freqs)
-	}
-	man := gemstone.RunManifest{
-		Schema:           ledger.SchemaVersion,
-		CreatedUnix:      time.Now().Unix(),
-		Build:            gemstone.ReadBuildInfo(),
-		HWPlatform:       hwCfg.Name,
-		ModelPlatform:    simCfg.Name,
-		HWFingerprint:    hwCfg.Fingerprint(),
-		ModelFingerprint: simCfg.Fingerprint(),
-		Gem5Version:      int(in.version),
-		Cluster:          in.cluster,
-		FreqMHz:          in.freqMHz,
-		Workloads:        names,
-		WorkloadSetHash:  setHash,
-		Seed:             seed,
-		DVFSGrid:         grid,
-		Campaigns:        in.recorder.Campaigns(),
-	}
-	if in.fidelity != gemstone.FidelityDetailed {
-		man.Fidelity = in.fidelity.String()
-	}
-	if in.screened {
-		man.Mode = "screen"
-		for _, k := range in.flagged {
-			man.ScreenFlagged = append(man.ScreenFlagged,
-				fmt.Sprintf("%s/%s/%d", k.Workload, k.Cluster, k.FreqMHz))
-		}
-	}
+	man := ledger.NewManifest(in.hw, in.sim, int(in.version), in.cluster, in.freqMHz,
+		in.profiles, in.hwRuns, in.fidelity, in.screened, in.recorder)
 	if in.tracer != nil {
 		man.PhaseSeconds = ledger.PhaseSeconds(in.tracer.Events())
 	}

@@ -99,7 +99,7 @@ type CollectOptions struct {
 	// Tracer, when non-nil, records the campaign's phases as spans:
 	// "collect" (the whole campaign) with a "plan" child, one root per
 	// worker, and per-job "cache-get"/"simulate"/"cache-put" children.
-	// The simulate span is passed into platform.RunSpan, so the
+	// The simulate span is passed into SimContext.RunFidelity, so the
 	// simulator's internal phases nest under it. Export the result with
 	// Tracer.WriteChromeTrace.
 	Tracer *obs.Tracer

@@ -14,6 +14,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -99,6 +100,55 @@ type RunManifest struct {
 	// (gemstone -workers): who simulated what, and how reliably. Empty for
 	// purely local runs.
 	DistWorkers []DistWorker `json:"dist_workers,omitempty"`
+}
+
+// NewManifest fills the manifest fields every ledger producer (the
+// gemstone CLI and the campaign service) derives the same way: build
+// identity, platform names and fingerprints, the analysis point, the
+// workload set, the DVFS grid the hardware campaign swept (per cluster,
+// sorted, from hwRuns), the tier (empty for detailed), the per-campaign
+// statistics and, for a screen (screen non-nil), the mode and the flagged
+// points. Callers add their own fields: the CLI its phase times and
+// distributed workers, the service its tenant and campaign ID.
+func NewManifest(hwPl, model *platform.Platform, gem5Version int, cluster string, freqMHz int,
+	profiles []workload.Profile, hwRuns *core.RunSet, fid platform.Fidelity,
+	screen *core.ScreenResult, recorder *CampaignRecorder) RunManifest {
+	names, setHash, seed := WorkloadSetDigest(profiles)
+	grid := map[string][]int{}
+	for k := range hwRuns.Runs {
+		grid[k.Cluster] = append(grid[k.Cluster], k.FreqMHz)
+	}
+	for cl, freqs := range grid {
+		slices.Sort(freqs)
+		grid[cl] = slices.Compact(freqs)
+	}
+	man := RunManifest{
+		Schema:           SchemaVersion,
+		CreatedUnix:      time.Now().Unix(),
+		Build:            obs.ReadBuildInfo(),
+		HWPlatform:       hwPl.Name(),
+		ModelPlatform:    model.Name(),
+		HWFingerprint:    hwPl.Config().Fingerprint(),
+		ModelFingerprint: model.Config().Fingerprint(),
+		Gem5Version:      gem5Version,
+		Cluster:          cluster,
+		FreqMHz:          freqMHz,
+		Workloads:        names,
+		WorkloadSetHash:  setHash,
+		Seed:             seed,
+		DVFSGrid:         grid,
+		Campaigns:        recorder.Campaigns(),
+	}
+	if fid != platform.FidelityDetailed {
+		man.Fidelity = fid.String()
+	}
+	if screen != nil {
+		man.Mode = "screen"
+		for _, k := range screen.Flagged {
+			man.ScreenFlagged = append(man.ScreenFlagged, fmt.Sprintf("%s/%s/%d", k.Workload, k.Cluster, k.FreqMHz))
+		}
+	}
+	return man
 }
 
 // DistWorker is per-worker provenance from a distributed campaign. It is

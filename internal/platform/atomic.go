@@ -11,7 +11,6 @@ import (
 	"gemstone/internal/pipeline"
 	"gemstone/internal/pmu"
 	"gemstone/internal/workload"
-	"gemstone/internal/xrand"
 )
 
 // Atomic-tier prediction. The detailed tier's cost is linear in the
@@ -87,98 +86,33 @@ func anchorProfile(p workload.Profile) (workload.Profile, float64) {
 	return t, float64(p.TotalInsts) / float64(n)
 }
 
-// RunFidelity executes the workload at the requested simulation tier.
-// FidelityDetailed is exactly Run; FidelityAtomic predicts the
-// Measurement from cached anchor runs (see the package comment above) and
-// marks it with Measurement.Fidelity. Atomic runs reuse their per-cluster
-// anchors only on a context from NewSimContext; on the transient context
-// inside Platform.Run every call re-derives them.
-func (sc *SimContext) RunFidelity(prof workload.Profile, cluster string, freqMHz int, fid Fidelity, parent *obs.Span) (Measurement, error) {
-	switch fid {
-	case FidelityDetailed:
-		return sc.RunSpan(prof, cluster, freqMHz, parent)
-	case FidelityAtomic:
-		return sc.runAtomic(prof, cluster, freqMHz, parent)
-	}
-	return Measurement{}, fmt.Errorf("platform: unknown fidelity %d", fid)
-}
-
-// runAtomic predicts one operating point from the workload's anchors.
-func (sc *SimContext) runAtomic(prof workload.Profile, cluster string, freqMHz int, parent *obs.Span) (Measurement, error) {
-	p := sc.p
-	cl, err := p.Cluster(cluster)
+// predict derives the point's sample from the workload's anchors by
+// affine interpolation in frequency.
+func (sc *SimContext) predict(pt point, parent *obs.Span) (pmu.Sample, error) {
+	an, err := sc.anchors(pt.cl, pt.prof, parent)
 	if err != nil {
-		return Measurement{}, err
-	}
-	volt, err := cl.Voltage(freqMHz)
-	if err != nil {
-		return Measurement{}, err
-	}
-	if err := prof.Validate(); err != nil {
-		return Measurement{}, err
-	}
-
-	an, err := sc.anchors(cl, prof, parent)
-	if err != nil {
-		return Measurement{}, err
+		return pmu.Sample{}, err
 	}
 
 	sp := parent.Child("predict")
-	ghz := float64(freqMHz) / 1000
 	t := 0.0
 	if an.hiF != an.loF {
-		t = float64(freqMHz-an.loF) / float64(an.hiF-an.loF)
+		t = float64(pt.freqMHz-an.loF) / float64(an.hiF-an.loF)
 	}
 	sample := interpolateSample(&an.lo, &an.hi, t)
-	sample.FreqGHz = ghz
-
-	m := Measurement{
-		Platform: p.cfg.Name,
-		Cluster:  cluster,
-		Workload: prof.Name,
-		FreqMHz:  freqMHz,
-		VoltageV: volt,
-		Sample:   sample,
-		Seconds:  sample.Seconds(),
-		Fidelity: FidelityAtomic,
-	}
+	sample.FreqGHz = pt.ghz
 	if sp != nil {
 		sp.Annotate(obs.Uint64("cycles", sample.Tally.Cycles), obs.Float64("anchor_t", t))
 		sp.End()
 	}
-
-	// The power post-processing is the detailed tier's, fed the predicted
-	// sample: the sensor noise seed depends only on (workload, cluster,
-	// frequency), so the power error is purely the sample error's image.
-	if p.cfg.HasSensors && cl.Power != nil {
-		sp = parent.Child("power")
-		noise := xrand.New(prof.Seed() ^ uint64(freqMHz)<<20 ^ xrand.HashString(cluster))
-		pw, temp, throttled := MeasurePower(cl.Power, cl.Thermal, &sample, volt, ghz, noise)
-		m.PowerWatts = pw
-		m.TemperatureC = temp
-		m.Throttled = throttled
-		m.EnergyJoules = pw * m.Seconds
-		if sp != nil {
-			sp.Annotate(obs.Float64("power_w", pw), obs.Bool("throttled", throttled))
-			sp.End()
-		}
-	}
-	return m, nil
+	return sample, nil
 }
 
 // anchors returns (computing and caching if necessary) the workload's
 // extrapolated anchor samples on cl.
 func (sc *SimContext) anchors(cl ClusterConfig, prof workload.Profile, parent *obs.Span) (*atomicAnchors, error) {
-	var store *atomicAnchors
-	if sc.sims != nil {
-		s := sc.sims[cl.Name]
-		if s == nil {
-			s = sc.sim(cl)
-		}
-		store = &s.anchors
-		if store.ok && store.prof == prof {
-			return store, nil
-		}
+	if s := sc.sims[cl.Name]; s != nil && s.anchors.ok && s.anchors.prof == prof {
+		return &s.anchors, nil
 	}
 
 	anchor, growth := anchorProfile(prof)
@@ -207,16 +141,15 @@ func (sc *SimContext) anchors(cl ClusterConfig, prof workload.Profile, parent *o
 	}
 	sp.End()
 
-	an := atomicAnchors{
+	// The passes stored the cluster's state (the atomic tier runs only on
+	// a reusing context), so the anchors are cached alongside it.
+	s := sc.sims[cl.Name]
+	s.anchors = atomicAnchors{
 		prof: prof, ok: true,
 		loF: loF, hiF: hiF,
 		lo: extrapolateSample(&lo, growth), hi: extrapolateSample(&hi, growth),
 	}
-	if store != nil {
-		*store = an
-		return store, nil
-	}
-	return &an, nil
+	return &s.anchors, nil
 }
 
 // anchorCheckpoints holds the cumulative PMU samples of one anchor pass at
@@ -236,22 +169,10 @@ func (sc *SimContext) anchorPass(cl ClusterConfig, anchor workload.Profile, freq
 	defer sp.End()
 
 	var cp anchorCheckpoints
-	s := sc.sim(cl)
-	hier, pred, core := s.hier, s.pred, s.core
 	ghz := float64(freqMHz) / 1000
-	hier.SetFrequencyGHz(ghz)
-	core.Sync = nil
-	if anchor.IsParallel() {
-		scale := cl.ContentionScale
-		if scale == 0 {
-			scale = 1
-		}
-		core.Sync = pipeline.NewSyncModel(
-			anchor.Seed()^0xC0FFEE,
-			anchor.SnoopProb*scale, anchor.BarrierWaitMean*scale, anchor.StrexFailProb*scale)
-	}
-
-	insts := sc.anchorInsts(anchor)
+	s := sc.sim(cl, anchor, ghz)
+	hier, pred, core := s.hier, s.pred, s.core
+	insts := sc.expand(anchor)
 	n := len(insts)
 	if n == 0 {
 		return cp, fmt.Errorf("empty anchor stream for %q", anchor.Name)
@@ -284,52 +205,9 @@ func (sc *SimContext) anchorPass(cl ClusterConfig, anchor workload.Profile, freq
 	return cp, nil
 }
 
-// anchorInsts expands the anchor profile's instruction stream, reusing the
-// context's one-entry stream cache when it has one.
-func (sc *SimContext) anchorInsts(anchor workload.Profile) []isa.Inst {
-	if sc.cacheStreams {
-		sc.stream(anchor) // fills sc.streamBuf through the one-entry cache
-		return sc.streamBuf
-	}
-	var insts []isa.Inst
-	g := workload.NewGenerator(anchor)
-	for {
-		if len(insts)+4096 > cap(insts) {
-			grown := make([]isa.Inst, len(insts), cap(insts)*2+4096)
-			copy(grown, insts)
-			insts = grown
-		}
-		n := g.NextBlock(insts[len(insts):cap(insts)])
-		if n == 0 {
-			break
-		}
-		insts = insts[: len(insts)+n : cap(insts)]
-	}
-	return insts
-}
-
-// addTally accumulates t into sum field by field. Reflective for the same
-// reason as the sample walkers: a counter added to pipeline.Tally must be
-// summed, not silently dropped.
+// addTally accumulates t into sum counter by counter.
 func addTally(sum, t *pipeline.Tally) {
-	addValue(reflect.ValueOf(sum).Elem(), reflect.ValueOf(t).Elem())
-}
-
-func addValue(sum, t reflect.Value) {
-	switch sum.Kind() {
-	case reflect.Struct:
-		for i := 0; i < sum.NumField(); i++ {
-			addValue(sum.Field(i), t.Field(i))
-		}
-	case reflect.Array:
-		for i := 0; i < sum.Len(); i++ {
-			addValue(sum.Index(i), t.Index(i))
-		}
-	case reflect.Uint64:
-		sum.SetUint(sum.Uint() + t.Uint())
-	default:
-		panic(fmt.Sprintf("platform: pipeline.Tally grew an un-summable field kind %s", sum.Kind()))
-	}
+	mapCounters(sum, sum, t, t, false, func(s, t, _ uint64) uint64 { return s + t })
 }
 
 // extrapolateSample projects the checkpointed counters to growth times the
@@ -344,29 +222,63 @@ func extrapolateSample(cp *anchorCheckpoints, growth float64) pmu.Sample {
 	}
 	n1, n2, n3 := cp.insts[0], cp.insts[1], cp.insts[2]
 	rem := (growth - 1) * n3
-	extrapValue(reflect.ValueOf(&out).Elem(),
-		reflect.ValueOf(&cp.cum[0]).Elem(), reflect.ValueOf(&cp.cum[1]).Elem(), reflect.ValueOf(&cp.cum[2]).Elem(),
-		n2-n1, n3-n2, n3, rem)
+	mapCounters(&out, &cp.cum[0], &cp.cum[1], &cp.cum[2], true, func(v1, v2, v3 uint64) uint64 {
+		return extrapCounter(float64(v1), float64(v2), float64(v3), n2-n1, n3-n2, n3, rem)
+	})
 	return out
 }
 
-func extrapValue(out, c1, c2, c3 reflect.Value, len1, len2, seg0, rem float64) {
+// interpolateSample affinely interpolates every counter between the two
+// anchor samples: counter(t) = round(lo + t·(hi − lo)). FreqGHz is set by
+// the caller.
+func interpolateSample(lo, hi *pmu.Sample, t float64) pmu.Sample {
+	var out pmu.Sample
+	mapCounters(&out, lo, hi, hi, true, func(l, h, _ uint64) uint64 {
+		v := float64(l) + t*(float64(h)-float64(l))
+		if v < 0 {
+			v = 0
+		}
+		return uint64(math.Round(v))
+	})
+	return out
+}
+
+// mapCounters sets every counter of *out to f of the same counter in a, b
+// and c, walked in step (a caller with fewer inputs repeats one). Counters
+// are uint64, scalars or arrays, possibly nested in sub-structs. The walk
+// is reflective so a counter added to pipeline.Tally or to any PMU
+// sub-struct is carried automatically instead of silently dropped: any
+// other field kind panics, except that float64 fields are skipped when
+// skipFloat is set (pmu.Sample's FreqGHz, which the caller owns).
+func mapCounters[T any](out, a, b, c *T, skipFloat bool, f func(a, b, c uint64) uint64) {
+	w := counterWalk{root: reflect.TypeOf(out).Elem(), skipFloat: skipFloat, f: f}
+	w.walk(reflect.ValueOf(out).Elem(), reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem(), reflect.ValueOf(c).Elem())
+}
+
+// counterWalk is one mapCounters traversal. A method rather than a
+// recursive closure, so the walked values stay on the caller's stack.
+type counterWalk struct {
+	root      reflect.Type
+	skipFloat bool
+	f         func(a, b, c uint64) uint64
+}
+
+func (w *counterWalk) walk(out, a, b, c reflect.Value) {
 	switch out.Kind() {
 	case reflect.Struct:
 		for i := 0; i < out.NumField(); i++ {
-			extrapValue(out.Field(i), c1.Field(i), c2.Field(i), c3.Field(i), len1, len2, seg0, rem)
+			w.walk(out.Field(i), a.Field(i), b.Field(i), c.Field(i))
 		}
 	case reflect.Array:
 		for i := 0; i < out.Len(); i++ {
-			extrapValue(out.Index(i), c1.Index(i), c2.Index(i), c3.Index(i), len1, len2, seg0, rem)
+			w.walk(out.Index(i), a.Index(i), b.Index(i), c.Index(i))
 		}
 	case reflect.Uint64:
-		v1, v2, v3 := float64(c1.Uint()), float64(c2.Uint()), float64(c3.Uint())
-		out.SetUint(extrapCounter(v1, v2, v3, len1, len2, seg0, rem))
-	case reflect.Float64:
-		// FreqGHz: owned by the caller.
+		out.SetUint(w.f(a.Uint(), b.Uint(), c.Uint()))
 	default:
-		panic(fmt.Sprintf("platform: pmu.Sample grew an un-extrapolatable field kind %s", out.Kind()))
+		if out.Kind() != reflect.Float64 || !w.skipFloat {
+			panic(fmt.Sprintf("platform: %s grew a field of kind %s the counter walk cannot carry", w.root, out.Kind()))
+		}
 	}
 }
 
@@ -403,40 +315,4 @@ func extrapCounter(v1, v2, v3, len1, len2, seg0, rem float64) uint64 {
 		segLen *= 2
 	}
 	return uint64(math.Round(total))
-}
-
-// interpolateSample affinely interpolates every counter between the two
-// anchor samples: counter(t) = round(lo + t·(hi − lo)). All counters are
-// uint64 (scalars or arrays, possibly nested in sub-structs); FreqGHz is
-// the one float64 field and is set by the caller. The walk is reflective
-// so a new counter added to any PMU sub-struct is interpolated
-// automatically instead of silently dropped.
-func interpolateSample(lo, hi *pmu.Sample, t float64) pmu.Sample {
-	var out pmu.Sample
-	interpValue(reflect.ValueOf(&out).Elem(), reflect.ValueOf(lo).Elem(), reflect.ValueOf(hi).Elem(), t)
-	return out
-}
-
-func interpValue(out, lo, hi reflect.Value, t float64) {
-	switch out.Kind() {
-	case reflect.Struct:
-		for i := 0; i < out.NumField(); i++ {
-			interpValue(out.Field(i), lo.Field(i), hi.Field(i), t)
-		}
-	case reflect.Array:
-		for i := 0; i < out.Len(); i++ {
-			interpValue(out.Index(i), lo.Index(i), hi.Index(i), t)
-		}
-	case reflect.Uint64:
-		l, h := float64(lo.Uint()), float64(hi.Uint())
-		v := l + t*(h-l)
-		if v < 0 {
-			v = 0
-		}
-		out.SetUint(uint64(math.Round(v)))
-	case reflect.Float64:
-		// FreqGHz: owned by the caller.
-	default:
-		panic(fmt.Sprintf("platform: pmu.Sample grew an un-interpolatable field kind %s", out.Kind()))
-	}
 }

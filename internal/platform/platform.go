@@ -200,7 +200,12 @@ type Measurement struct {
 	Fidelity Fidelity
 }
 
-// Run executes the workload on the named cluster at freqMHz.
+// Run executes the workload on the named cluster at freqMHz at the
+// detailed tier. It is the reference the reusing SimContext is pinned
+// against: fresh simulation state, the workload generator handed straight
+// to the core, no DVFS trace. With a tracer attached (SetTracer) the run
+// records a "run" root span with the simulator phases as children (see
+// SimContext.RunFidelity).
 //
 // Sensored platforms emulate the paper's measurement procedure: the
 // workload is repeated until it has exercised the CPU for at least 30
@@ -212,20 +217,8 @@ func (p *Platform) Run(prof workload.Profile, cluster string, freqMHz int) (Meas
 	sp := p.tracer.Start("run",
 		obs.String("platform", p.cfg.Name), obs.String("workload", prof.Name),
 		obs.String("cluster", cluster), obs.Int("freq_mhz", freqMHz))
-	m, err := p.RunSpan(prof, cluster, freqMHz, sp)
+	sc := SimContext{p: p} // transient: reuses nothing
+	m, err := sc.RunFidelity(prof, cluster, freqMHz, FidelityDetailed, sp)
 	sp.End()
 	return m, err
-}
-
-// RunSpan is Run with the simulator phases recorded as children of
-// parent: "expand" (configuration lookup, profile validation, hierarchy /
-// predictor / core assembly and workload expansion), "pipeline" (the
-// timing-model execution), "collate" (the PMU walk over the
-// memory-hierarchy and predictor statistics) and, on sensored platforms,
-// "power" (the sensor post-processing). A nil parent runs untraced.
-func (p *Platform) RunSpan(prof workload.Profile, cluster string, freqMHz int, parent *obs.Span) (Measurement, error) {
-	// A transient non-reusing context keeps a single code path with
-	// SimContext; one-off runs get fresh state exactly as before.
-	sc := SimContext{p: p}
-	return sc.RunSpan(prof, cluster, freqMHz, parent)
 }

@@ -61,13 +61,67 @@ func TestGem5HasNoPower(t *testing.T) {
 	}
 }
 
-func TestRunRejectsUnknownClusterAndFreq(t *testing.T) {
+// TestRunRejectsBadInputs: every run entry point rejects the same bad
+// inputs with an error and a zero Measurement, and a context that saw them
+// is left intact — its next detailed point is still bit-identical to the
+// Platform.Run reference, its next atomic point to a fresh context's.
+func TestRunRejectsBadInputs(t *testing.T) {
 	board := hw.Platform()
-	if _, err := board.Run(mustProfile(t, "dhrystone"), "m4", 1000); err == nil {
-		t.Fatal("unknown cluster must error")
+	sc := platform.NewSimContext(board)
+	good := mustProfile(t, "dhrystone")
+	bad := good
+	bad.Threads = 3
+
+	runners := []struct {
+		name string
+		run  func(workload.Profile, string, int) (platform.Measurement, error)
+	}{
+		{"Platform.Run", board.Run},
+		{"RunFidelity/detailed", func(p workload.Profile, cl string, f int) (platform.Measurement, error) {
+			return sc.RunFidelity(p, cl, f, platform.FidelityDetailed, nil)
+		}},
+		{"RunFidelity/atomic", func(p workload.Profile, cl string, f int) (platform.Measurement, error) {
+			return sc.RunFidelity(p, cl, f, platform.FidelityAtomic, nil)
+		}},
 	}
-	if _, err := board.Run(mustProfile(t, "dhrystone"), hw.ClusterA15, 333); err == nil {
-		t.Fatal("unknown DVFS point must error")
+	inputs := []struct {
+		name    string
+		prof    workload.Profile
+		cluster string
+		freq    int
+	}{
+		{"unknown cluster", good, "m4", 1000},
+		{"frequency not in the DVFS table", good, hw.ClusterA15, 333},
+		{"invalid profile", bad, hw.ClusterA15, 1000},
+	}
+	for _, r := range runners {
+		for _, in := range inputs {
+			m, err := r.run(in.prof, in.cluster, in.freq)
+			if err == nil {
+				t.Errorf("%s, %s: no error", r.name, in.name)
+			}
+			if m != (platform.Measurement{}) {
+				t.Errorf("%s, %s: non-zero Measurement %+v", r.name, in.name, m)
+			}
+		}
+	}
+	if m, err := sc.RunFidelity(good, hw.ClusterA15, 1000, platform.Fidelity(7), nil); err == nil || m != (platform.Measurement{}) {
+		t.Errorf("unknown fidelity on a valid point: err = %v, Measurement zero = %v", err, m == (platform.Measurement{}))
+	}
+
+	want, err := board.Run(good, hw.ClusterA15, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sc.Run(good, hw.ClusterA15, 1000); err != nil || got != want {
+		t.Fatalf("detailed point after rejected inputs: err = %v, identical to Platform.Run = %v", err, got == want)
+	}
+	wantAtomic, err := platform.NewSimContext(board).RunFidelity(good, hw.ClusterA15, 1000, platform.FidelityAtomic, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sc.RunFidelity(good, hw.ClusterA15, 1000, platform.FidelityAtomic, nil); err != nil || got != wantAtomic {
+		t.Fatalf("atomic point after rejected inputs: err = %v, identical to a fresh context = %v", err, got == wantAtomic)
 	}
 }
 

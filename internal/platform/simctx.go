@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"fmt"
 	"slices"
 
 	"gemstone/internal/branch"
@@ -41,7 +42,8 @@ type clusterSim struct {
 }
 
 // SimContext runs workloads on a Platform while reusing all heavyweight
-// simulation state between runs. A fresh Hierarchy/Predictor/Core costs
+// simulation state between runs, for both simulation tiers: every point
+// goes through RunFidelity. A fresh Hierarchy/Predictor/Core costs
 // hundreds of kilobytes of allocation per run; a campaign performs
 // thousands of runs, so the cold-campaign allocation profile was dominated
 // by this churn. The context keeps one clusterSim per cluster (Reset()
@@ -56,15 +58,17 @@ type clusterSim struct {
 //
 // A SimContext is not safe for concurrent use; create one per worker.
 type SimContext struct {
-	p    *Platform
+	p *Platform
+	// sims holds the reused per-cluster state. It is nil only on the
+	// transient context inside Platform.Run, which reuses nothing: fresh
+	// state per run, the generator handed straight to the core, no DVFS
+	// trace.
 	sims map[string]*clusterSim
 
 	// One-entry expanded-stream cache, keyed by the (comparable) Profile.
-	cacheStreams bool
-	streamProf   workload.Profile
-	streamOK     bool
-	streamBuf    []isa.Inst
-	replay       *isa.SliceStream
+	streamProf workload.Profile
+	streamOK   bool
+	streamBuf  []isa.Inst
 
 	// ScalarStreams forces the timing models onto the scalar Next() path
 	// by hiding the BlockStream fast path of every stream handed to the
@@ -73,45 +77,48 @@ type SimContext struct {
 	ScalarStreams bool
 }
 
-// NewSimContext returns a reusing context for p. The zero-value-like
-// context used internally by Platform.RunSpan reuses nothing; a context
-// from NewSimContext reuses per-cluster state and caches expanded streams.
+// NewSimContext returns a context that reuses per-cluster state and
+// caches expanded streams and atomic anchors.
 func NewSimContext(p *Platform) *SimContext {
-	return &SimContext{p: p, sims: make(map[string]*clusterSim), cacheStreams: true}
+	return &SimContext{p: p, sims: make(map[string]*clusterSim)}
 }
 
-// Platform returns the platform this context runs on.
-func (sc *SimContext) Platform() *Platform { return sc.p }
-
-// sim returns ready-to-run simulation state for cl: Reset reused state
-// when the context caches it, freshly built state otherwise.
-func (sc *SimContext) sim(cl ClusterConfig) *clusterSim {
-	if sc.sims != nil {
-		if s, ok := sc.sims[cl.Name]; ok {
-			s.hier.Reset()
-			s.pred.Reset()
-			return s
+// sim returns ready-to-run simulation state for cl: reset (or, the first
+// time and on the transient context, freshly built), clocked at ghz and
+// carrying prof's contention model.
+func (sc *SimContext) sim(cl ClusterConfig, prof workload.Profile, ghz float64) *clusterSim {
+	s, ok := sc.sims[cl.Name]
+	if ok {
+		s.hier.Reset()
+		s.pred.Reset()
+	} else {
+		hier := mem.NewHierarchy(cl.Hier)
+		pred := branch.New(cl.Branch)
+		s = &clusterSim{hier: hier, pred: pred, core: pipeline.NewCore(cl.Core, hier, pred)}
+		if sc.sims != nil {
+			sc.sims[cl.Name] = s
 		}
 	}
-	hier := mem.NewHierarchy(cl.Hier)
-	pred := branch.New(cl.Branch)
-	s := &clusterSim{hier: hier, pred: pred, core: pipeline.NewCore(cl.Core, hier, pred)}
-	if sc.sims != nil {
-		sc.sims[cl.Name] = s
+	s.hier.SetFrequencyGHz(ghz)
+	s.core.Sync = nil
+	if prof.IsParallel() {
+		scale := cl.ContentionScale
+		if scale == 0 {
+			scale = 1
+		}
+		s.core.Sync = pipeline.NewSyncModel(
+			prof.Seed()^0xC0FFEE,
+			prof.SnoopProb*scale, prof.BarrierWaitMean*scale, prof.StrexFailProb*scale)
 	}
 	return s
 }
 
-// stream returns the instruction stream for prof. The non-caching path
-// hands the generator straight to the core; the caching path expands the
-// profile once into a reused buffer and replays it as a SliceStream, so
-// consecutive runs of the same workload (other cluster, other frequency)
-// skip regeneration entirely. Both deliver the exact sequence the
-// generator produces.
-func (sc *SimContext) stream(prof workload.Profile) isa.Stream {
-	if !sc.cacheStreams {
-		return sc.wrap(workload.NewGenerator(prof))
-	}
+// expand returns prof's instruction stream, expanded once into the
+// context's reused buffer: consecutive runs of the same workload (other
+// cluster, other frequency, or the atomic tier's second anchor pass) skip
+// regeneration entirely. The slice is the exact sequence the generator
+// produces.
+func (sc *SimContext) expand(prof workload.Profile) []isa.Inst {
 	if !sc.streamOK || sc.streamProf != prof {
 		g := workload.NewGenerator(prof)
 		insts := sc.streamBuf[:0]
@@ -124,12 +131,10 @@ func (sc *SimContext) stream(prof workload.Profile) isa.Stream {
 			insts = insts[: len(insts)+n : cap(insts)]
 		}
 		sc.streamBuf = insts
-		sc.replay = isa.NewSliceStream(insts)
 		sc.streamProf = prof
 		sc.streamOK = true
 	}
-	sc.replay.Reset()
-	return sc.wrap(sc.replay)
+	return sc.streamBuf
 }
 
 func (sc *SimContext) wrap(s isa.Stream) isa.Stream {
@@ -147,75 +152,98 @@ type scalarStream struct{ s isa.Stream }
 // Next implements isa.Stream.
 func (s scalarStream) Next() (isa.Inst, bool) { return s.s.Next() }
 
-// Run executes the workload on the named cluster at freqMHz, reusing the
-// context's simulation state. See Platform.Run for the measurement
-// semantics; results are bit-identical.
+// Run executes the workload on the named cluster at freqMHz at the
+// detailed tier, reusing the context's simulation state. See Platform.Run
+// for the measurement semantics; results are bit-identical.
 func (sc *SimContext) Run(prof workload.Profile, cluster string, freqMHz int) (Measurement, error) {
-	return sc.RunSpan(prof, cluster, freqMHz, nil)
+	return sc.RunFidelity(prof, cluster, freqMHz, FidelityDetailed, nil)
 }
 
-// RunSpan is Run with the simulator phases recorded as children of parent
-// ("expand", "pipeline", "collate" and, on sensored platforms, "power").
-// A nil parent runs untraced.
-func (sc *SimContext) RunSpan(prof workload.Profile, cluster string, freqMHz int, parent *obs.Span) (Measurement, error) {
-	p := sc.p
-	sp := parent.Child("expand")
-	cl, err := p.Cluster(cluster)
+// point is one resolved operating point: the prologue both tiers share.
+type point struct {
+	prof    workload.Profile
+	cl      ClusterConfig
+	freqMHz int
+	volt    float64
+	ghz     float64
+}
+
+// RunFidelity executes the workload on the named cluster at freqMHz at
+// the requested simulation tier, recording the simulator phases as
+// children of parent (a nil parent runs untraced). It resolves the point,
+// obtains the tier's PMU sample, and assembles the Measurement from it:
+//
+//   - FidelityDetailed runs the full timing model: "expand" (simulation
+//     state and workload expansion), "pipeline" (the timing-model
+//     execution) and "collate" (the PMU walk over the memory-hierarchy
+//     and predictor statistics).
+//   - FidelityAtomic predicts the sample from the workload's anchor runs
+//     (see atomic.go): "anchor" with one "anchor_pass" per DVFS extreme
+//     on the first point of a sweep (the anchors are cached per cluster),
+//     then "predict". The Measurement is marked with its Fidelity.
+//
+// On sensored platforms both tiers end with the same "power" phase.
+func (sc *SimContext) RunFidelity(prof workload.Profile, cluster string, freqMHz int, fid Fidelity, parent *obs.Span) (Measurement, error) {
+	cl, err := sc.p.Cluster(cluster)
 	if err != nil {
-		sp.End()
 		return Measurement{}, err
 	}
 	volt, err := cl.Voltage(freqMHz)
 	if err != nil {
-		sp.End()
 		return Measurement{}, err
 	}
 	if err := prof.Validate(); err != nil {
-		sp.End()
 		return Measurement{}, err
 	}
+	pt := point{prof: prof, cl: cl, freqMHz: freqMHz, volt: volt, ghz: float64(freqMHz) / 1000}
 
-	s := sc.sim(cl)
-	hier, pred, core := s.hier, s.pred, s.core
-	ghz := float64(freqMHz) / 1000
-	hier.SetFrequencyGHz(ghz)
-	core.Sync = nil
-	if prof.IsParallel() {
-		scale := cl.ContentionScale
-		if scale == 0 {
-			scale = 1
-		}
-		core.Sync = pipeline.NewSyncModel(
-			prof.Seed()^0xC0FFEE,
-			prof.SnoopProb*scale, prof.BarrierWaitMean*scale, prof.StrexFailProb*scale)
+	var sample pmu.Sample
+	switch fid {
+	case FidelityDetailed:
+		sample = sc.simulate(pt, parent)
+	case FidelityAtomic:
+		sample, err = sc.predict(pt, parent)
+	default:
+		err = fmt.Errorf("platform: unknown fidelity %d", fid)
 	}
-	stream := sc.stream(prof)
-	// Arm DVFS trace replay when this context just simulated the same
-	// workload on this cluster (at another frequency); otherwise record.
-	// Only the reusing context traces — the transient per-run context
-	// never sees a second frequency.
-	replaying := false
-	if sc.cacheStreams {
-		if s.traceOK && s.traceProf == prof {
+	if err != nil {
+		return Measurement{}, err
+	}
+	return sc.measure(pt, sample, fid, parent), nil
+}
+
+// simulate runs the point through the detailed timing model.
+func (sc *SimContext) simulate(pt point, parent *obs.Span) pmu.Sample {
+	sp := parent.Child("expand")
+	s := sc.sim(pt.cl, pt.prof, pt.ghz)
+	hier := s.hier
+	// The reusing context replays the cached expansion and arms DVFS
+	// trace replay when it just simulated the same workload on this
+	// cluster (at another frequency); otherwise it records.
+	var stream isa.Stream
+	replaying, tracing := false, sc.sims != nil
+	if tracing {
+		stream = isa.NewSliceStream(sc.expand(pt.prof))
+		if s.traceOK && s.traceProf == pt.prof {
 			replaying = hier.BeginTraceReplay(&s.trace)
 		} else {
 			s.traceOK = false
 			hier.BeginTraceRecord(&s.trace)
 		}
+	} else {
+		stream = workload.NewGenerator(pt.prof)
 	}
 	sp.End()
 
 	sp = parent.Child("pipeline")
-	tally := core.Run(stream)
-	if sc.cacheStreams {
-		if replaying {
-			hier.EndTraceReplay()
-		} else {
-			hier.EndTraceRecord()
-			if s.trace.Valid() {
-				s.traceProf = prof
-				s.traceOK = true
-			}
+	tally := s.core.Run(sc.wrap(stream))
+	if replaying {
+		hier.EndTraceReplay()
+	} else if tracing {
+		hier.EndTraceRecord()
+		if s.trace.Valid() {
+			s.traceProf = pt.prof
+			s.traceOK = true
 		}
 	}
 	// Attributes are built only on traced runs; boxing them on every
@@ -229,36 +257,44 @@ func (sc *SimContext) RunSpan(prof workload.Profile, cluster string, freqMHz int
 	}
 
 	sp = parent.Child("collate")
-	sample := pmu.Capture(tally, hier, pred, ghz)
+	sample := pmu.Capture(tally, hier, s.pred, pt.ghz)
 	if sp != nil {
 		sp.Annotate(obs.Uint64("l1d_misses", sample.L1D.Misses()),
 			obs.Uint64("l2_misses", sample.L2.Misses()))
 		sp.End()
 	}
+	return sample
+}
 
+// measure assembles the point's Measurement from its sample and, on
+// sensored platforms, runs the sensor post-processing. The sensor noise
+// seed depends only on (workload, cluster, frequency), so an atomic
+// prediction's power error is purely its sample error's image.
+func (sc *SimContext) measure(pt point, sample pmu.Sample, fid Fidelity, parent *obs.Span) Measurement {
 	m := Measurement{
-		Platform: p.cfg.Name,
-		Cluster:  cluster,
-		Workload: prof.Name,
-		FreqMHz:  freqMHz,
-		VoltageV: volt,
+		Platform: sc.p.cfg.Name,
+		Cluster:  pt.cl.Name,
+		Workload: pt.prof.Name,
+		FreqMHz:  pt.freqMHz,
+		VoltageV: pt.volt,
 		Sample:   sample,
 		Seconds:  sample.Seconds(),
+		Fidelity: fid,
 	}
-
-	if p.cfg.HasSensors && cl.Power != nil {
-		sp = parent.Child("power")
-		noise := xrand.New(prof.Seed() ^ uint64(freqMHz)<<20 ^ xrand.HashString(cluster))
-		pw, temp, throttled := MeasurePower(cl.Power, cl.Thermal, &sample, volt, ghz, noise)
-		m.PowerWatts = pw
-		m.TemperatureC = temp
-		m.Throttled = throttled
-		m.EnergyJoules = pw * m.Seconds
-		if sp != nil {
-			sp.Annotate(obs.Float64("power_w", pw), obs.Float64("temp_c", temp),
-				obs.Bool("throttled", throttled))
-			sp.End()
-		}
+	if !sc.p.cfg.HasSensors || pt.cl.Power == nil {
+		return m
 	}
-	return m, nil
+	sp := parent.Child("power")
+	noise := xrand.New(pt.prof.Seed() ^ uint64(pt.freqMHz)<<20 ^ xrand.HashString(pt.cl.Name))
+	pw, temp, throttled := MeasurePower(pt.cl.Power, pt.cl.Thermal, &m.Sample, pt.volt, pt.ghz, noise)
+	m.PowerWatts = pw
+	m.TemperatureC = temp
+	m.Throttled = throttled
+	m.EnergyJoules = pw * m.Seconds
+	if sp != nil {
+		sp.Annotate(obs.Float64("power_w", pw), obs.Float64("temp_c", temp),
+			obs.Bool("throttled", throttled))
+		sp.End()
+	}
+	return m
 }

@@ -1,10 +1,12 @@
 package platform_test
 
 import (
+	"slices"
 	"testing"
 
 	"gemstone/internal/hw"
 	"gemstone/internal/obs"
+	"gemstone/internal/platform"
 )
 
 // TestRunTracedPhases attaches a tracer to a platform and asserts Run
@@ -57,6 +59,68 @@ func TestRunTracedPhases(t *testing.T) {
 		if ev.Start < run.Start || ev.Start+ev.Dur > run.Start+run.Dur+run.Dur/10 {
 			t.Fatalf("phase %q [%v, %v] escapes run span [%v, %v]",
 				ev.Name, ev.Start, ev.Start+ev.Dur, run.Start, run.Start+run.Dur)
+		}
+	}
+}
+
+// TestAtomicTracedPhases pins the atomic tier's trace: the first point
+// of a sweep records the anchor runs ("anchor" with one "anchor_pass" per
+// DVFS extreme) before "predict" and "power"; a second frequency of the
+// same sweep reuses the cached anchors and records only "predict" and
+// "power".
+func TestAtomicTracedPhases(t *testing.T) {
+	sc := platform.NewSimContext(hw.Platform())
+	prof := mustProfile(t, "dhrystone")
+	for _, tc := range []struct {
+		freq int
+		want []string
+	}{
+		{1000, []string{"run", "anchor", "anchor_pass", "anchor_pass", "predict", "power"}},
+		{1400, []string{"run", "predict", "power"}},
+	} {
+		tr := obs.NewTracer()
+		root := tr.Start("run")
+		m, err := sc.RunFidelity(prof, hw.ClusterA15, tc.freq, platform.FidelityAtomic, root)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Fidelity != platform.FidelityAtomic {
+			t.Fatalf("%d MHz: fidelity %s, want atomic", tc.freq, m.Fidelity)
+		}
+
+		events := tr.Events()
+		var names []string
+		byName := map[string]obs.Event{}
+		for _, ev := range events {
+			names = append(names, ev.Name)
+			byName[ev.Name] = ev
+		}
+		if !slices.Equal(names, tc.want) {
+			t.Fatalf("%d MHz: spans = %v, want %v", tc.freq, names, tc.want)
+		}
+		within := func(inner, outer obs.Event) bool {
+			return inner.Start >= outer.Start && inner.Start+inner.Dur <= outer.Start+outer.Dur
+		}
+		for _, ev := range events[1:] {
+			if !within(ev, events[0]) {
+				t.Fatalf("%d MHz: span %q escapes the run span", tc.freq, ev.Name)
+			}
+			if ev.Name == "anchor_pass" && !within(ev, byName["anchor"]) {
+				t.Fatalf("%d MHz: anchor_pass not nested in anchor", tc.freq)
+			}
+		}
+		if a, ok := byName["anchor"]; ok && byName["predict"].Start < a.Start+a.Dur {
+			t.Fatalf("%d MHz: predict starts before the anchor runs end", tc.freq)
+		}
+		attrs := map[string]any{}
+		for _, a := range byName["power"].Attrs {
+			attrs[a.Key] = a.Value
+		}
+		for _, k := range []string{"power_w", "throttled"} {
+			if _, ok := attrs[k]; !ok {
+				t.Fatalf("%d MHz: power span lacks %q (attrs %v)", tc.freq, k, attrs)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"gemstone/internal/core"
@@ -174,5 +175,38 @@ func TestScreenModeCampaign(t *testing.T) {
 		if got, want := archiveBytes(t, rs), archiveBytes(t, tc.golden); !bytes.Equal(got, want) {
 			t.Fatalf("%s screen archive differs from detailed golden (%d vs %d bytes)", tc.set, len(got), len(want))
 		}
+	}
+}
+
+// TestLedgerManifestFullCampaign: a full campaign's ledger entry follows
+// the manifest schema as the CLI writes it — no mode (empty means a full
+// campaign; only screens record one) and the DVFS grid the hardware
+// campaign swept, sorted, whatever the request's frequency order.
+func TestLedgerManifestFullCampaign(t *testing.T) {
+	ledgerPath := filepath.Join(t.TempDir(), "ledger.jsonl")
+	svc := New(Config{Ledger: ledger.Open(ledgerPath)})
+	defer svc.Close()
+	api := httptest.NewServer(svc.Handler())
+	defer api.Close()
+
+	// The swept set includes the default 1000 MHz analysis point.
+	id := submit(t, api.URL, "t", &CampaignSpec{Mode: ModeFull, FreqsMHz: []int{1800, 1000}, MaxWorkloads: 2})
+	if events := followSSE(t, api.URL, "t", id); events[len(events)-1].Type != "done" {
+		t.Fatalf("campaign failed: %+v", events[len(events)-1])
+	}
+
+	scan, err := ledger.Open(ledgerPath).Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scan.Entries) != 1 {
+		t.Fatalf("ledger has %d entries, want 1", len(scan.Entries))
+	}
+	man := scan.Entries[0].Manifest
+	if man.Mode != "" {
+		t.Fatalf("ledger mode %q, want empty for a full campaign", man.Mode)
+	}
+	if want := map[string][]int{"a15": {1000, 1800}}; !reflect.DeepEqual(man.DVFSGrid, want) {
+		t.Fatalf("ledger dvfs_grid %v, want %v", man.DVFSGrid, want)
 	}
 }

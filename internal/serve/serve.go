@@ -747,21 +747,20 @@ func (s *Server) runCampaign(c *Campaign) {
 	simPl := gem5.Platform(gem5.Version(c.Spec.Gem5Version))
 
 	var hwSet, simSet *core.RunSet
-	var flagged []core.RunKey
+	var screened *core.ScreenResult
 	var err error
 	if c.Spec.Screening() {
 		// Screen mode: core.Screen drives both platforms itself (two
 		// atomic sweeps, then detailed re-simulation of the flagged
 		// points), all through the same collector, so distributed and
 		// cached execution work unchanged.
-		var res *core.ScreenResult
-		res, err = core.Screen(s.ctx, hwPl, simPl, core.ScreenOptions{
+		screened, err = core.Screen(s.ctx, hwPl, simPl, core.ScreenOptions{
 			Options: baseOpt("screen"),
 			Collect: collect,
 		})
 		if err == nil {
-			hwSet, simSet, flagged = res.HW, res.Sim, res.Flagged
-			s.emit(c, Event{Type: "screened", Flagged: len(flagged)})
+			hwSet, simSet = screened.HW, screened.Sim
+			s.emit(c, Event{Type: "screened", Flagged: len(screened.Flagged)})
 		}
 	} else {
 		hwSet, err = collect(s.ctx, hwPl, baseOpt("hw"))
@@ -775,7 +774,7 @@ func (s *Server) runCampaign(c *Campaign) {
 		vs, err = core.Validate(hwSet, simSet, c.Spec.Cluster)
 		if err == nil {
 			s.emit(c, Event{Type: "validated", MAPE: vs.MAPE})
-			s.appendLedger(c, hwPl, simPl, recorder, vs, flagged)
+			s.appendLedger(c, hwPl, simPl, hwSet, screened, recorder, vs)
 			collate.End()
 			// End the trace before the terminal transition commits:
 			// /trace serves only terminal campaigns, so every span a
@@ -907,42 +906,15 @@ func (s *Server) evictLocked() []string {
 // tenant and campaign ID. It runs before the campaign's terminal
 // transition (the "done" frame means the ledger write has already been
 // attempted), and its failures are logged, never fatal.
-func (s *Server) appendLedger(c *Campaign, hwPl, simPl *platform.Platform,
-	recorder *ledger.CampaignRecorder, vs *core.ValidationSummary, flagged []core.RunKey) {
+func (s *Server) appendLedger(c *Campaign, hwPl, simPl *platform.Platform, hwSet *core.RunSet,
+	screened *core.ScreenResult, recorder *ledger.CampaignRecorder, vs *core.ValidationSummary) {
 	if s.cfg.Ledger == nil {
 		return
 	}
-	names, hash, seed := ledger.WorkloadSetDigest(c.Spec.Profiles())
-	var fidelity string
-	if fid := c.Spec.ResolvedFidelity(); fid != platform.FidelityDetailed {
-		fidelity = fid.String()
-	}
-	var screenFlagged []string
-	for _, k := range flagged {
-		screenFlagged = append(screenFlagged, fmt.Sprintf("%s/%s/%d", k.Workload, k.Cluster, k.FreqMHz))
-	}
-	man := ledger.RunManifest{
-		Schema:           ledger.SchemaVersion,
-		CreatedUnix:      time.Now().Unix(),
-		Build:            obs.ReadBuildInfo(),
-		HWPlatform:       hwPl.Name(),
-		ModelPlatform:    simPl.Name(),
-		HWFingerprint:    hwPl.Config().Fingerprint(),
-		ModelFingerprint: simPl.Config().Fingerprint(),
-		Gem5Version:      c.Spec.Gem5Version,
-		Tenant:           c.Tenant,
-		CampaignID:       c.ID,
-		Fidelity:         fidelity,
-		Mode:             c.Spec.Mode,
-		ScreenFlagged:    screenFlagged,
-		Cluster:          c.Spec.Cluster,
-		FreqMHz:          c.Spec.FreqMHz,
-		Workloads:        names,
-		WorkloadSetHash:  hash,
-		Seed:             seed,
-		DVFSGrid:         map[string][]int{c.Spec.Cluster: append([]int(nil), c.Spec.FreqsMHz...)},
-		Campaigns:        recorder.Campaigns(),
-	}
+	man := ledger.NewManifest(hwPl, simPl, c.Spec.Gem5Version, c.Spec.Cluster, c.Spec.FreqMHz,
+		c.Spec.Profiles(), hwSet, c.Spec.ResolvedFidelity(), screened, recorder)
+	man.Tenant = c.Tenant
+	man.CampaignID = c.ID
 	entry := ledger.Entry{
 		Manifest: man,
 		Results:  ledger.ResultsFromValidation(vs, c.Spec.FreqMHz, nil),
