@@ -91,9 +91,12 @@ baseline:
 experiments:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# Short fuzz smoke of the hardened surfaces (archives, generator).
+# Short fuzz smoke of every fuzz target (run-set archives, gem5 stats
+# files, campaign specs, generator).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoadRunSet -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzParseStatsFile -fuzztime 10s ./internal/gem5
+	$(GO) test -run '^$$' -fuzz FuzzCampaignSpec -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzGenerator -fuzztime 10s ./internal/workload
 
 clean:

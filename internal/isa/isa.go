@@ -136,10 +136,13 @@ type Inst struct {
 	Dst uint8
 	// Taken reports the actual direction of a branch.
 	Taken bool
+	// Unaligned marks memory accesses that cross an alignment boundary.
+	// It sits with the other byte fields so that Inst packs into 32
+	// bytes (TestInstSize pins it): expanded streams hold hundreds of
+	// thousands of them.
+	Unaligned bool
 	// Target is the actual target of a taken branch.
 	Target uint64
-	// Unaligned marks memory accesses that cross an alignment boundary.
-	Unaligned bool
 }
 
 // Stream supplies dynamic instructions to a timing model.

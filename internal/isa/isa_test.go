@@ -1,6 +1,9 @@
 package isa
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestOpClassification(t *testing.T) {
 	cases := []struct {
@@ -77,5 +80,14 @@ func TestCollect(t *testing.T) {
 	}
 	if got := Collect(NewSliceStream(insts), 2); len(got) != 2 {
 		t.Fatalf("bounded collect = %d", len(got))
+	}
+}
+
+// TestInstSize pins the packed Inst layout: every expanded stream and
+// every timing-loop block holds Insts by value, so a field that breaks
+// the packing grows all of them by a quarter.
+func TestInstSize(t *testing.T) {
+	if n := unsafe.Sizeof(Inst{}); n != 32 {
+		t.Fatalf("sizeof(Inst) = %d bytes, want 32", n)
 	}
 }

@@ -187,7 +187,7 @@ var writesDst = func() (w [256]bool) {
 
 // instBlockSize is the batch the timing loops request from a BlockStream:
 // large enough to amortise the per-block call, small enough that the buffer
-// stays L1-resident (256 instructions ≈ 12 KB).
+// stays L1-resident (256 instructions of 32 bytes = 8 KB).
 const instBlockSize = 256
 
 // block returns the core's reusable instruction block buffer.

@@ -6,7 +6,6 @@ import (
 	"reflect"
 
 	"gemstone/internal/isa"
-	"gemstone/internal/mem"
 	"gemstone/internal/obs"
 	"gemstone/internal/pipeline"
 	"gemstone/internal/pmu"
@@ -123,17 +122,17 @@ func (sc *SimContext) anchors(cl ClusterConfig, prof workload.Profile, parent *o
 	// The lo pass records one memory trace per checkpoint chunk; the hi
 	// pass replays them chunk-by-chunk, so its checkpoints restore the
 	// (frequency-invariant) statistics snapshots at a fraction of the
-	// cost. The traces are local: they must not displace the detailed
-	// tier's full-run trace on this context mid-campaign.
-	var traces [3]mem.DVFSTrace
-	lo, err := sc.anchorPass(cl, anchor, loF, &traces, sp)
+	// cost. The traces are the cluster's anchorTraces, apart from the
+	// detailed tier's full-run trace; they may still hold the previous
+	// workload's anchors, which is why the lo pass always records.
+	lo, err := sc.anchorPass(cl, anchor, loF, true, sp)
 	if err != nil {
 		sp.End()
 		return nil, fmt.Errorf("platform: atomic anchor (%s/%s@%d): %w", prof.Name, cl.Name, loF, err)
 	}
 	hi := lo
 	if hiF != loF {
-		hi, err = sc.anchorPass(cl, anchor, hiF, &traces, sp)
+		hi, err = sc.anchorPass(cl, anchor, hiF, false, sp)
 		if err != nil {
 			sp.End()
 			return nil, fmt.Errorf("platform: atomic anchor (%s/%s@%d): %w", prof.Name, cl.Name, hiF, err)
@@ -161,17 +160,18 @@ type anchorCheckpoints struct {
 
 // anchorPass runs the anchor profile at freqMHz in one detailed pass split
 // into three chunks, capturing the cumulative counters at each chunk
-// boundary. When all three traces are valid the pass replays them
-// (chunk-by-chunk) instead of simulating the memory system; otherwise it
-// records them.
-func (sc *SimContext) anchorPass(cl ClusterConfig, anchor workload.Profile, freqMHz int, traces *[3]mem.DVFSTrace, parent *obs.Span) (anchorCheckpoints, error) {
+// boundary. Each chunk's memory trace lives in the cluster's
+// anchorTraces. With record set the pass records them; otherwise it
+// replays them (chunk-by-chunk) instead of simulating the memory system
+// when all three are valid, and records them when not.
+func (sc *SimContext) anchorPass(cl ClusterConfig, anchor workload.Profile, freqMHz int, record bool, parent *obs.Span) (anchorCheckpoints, error) {
 	sp := parent.Child("anchor_pass", obs.Int("freq_mhz", freqMHz))
 	defer sp.End()
 
 	var cp anchorCheckpoints
 	ghz := float64(freqMHz) / 1000
 	s := sc.sim(cl, anchor, ghz)
-	hier, pred, core := s.hier, s.pred, s.core
+	hier, pred, core, traces := s.hier, s.pred, s.core, &s.anchorTraces
 	insts := sc.expand(anchor)
 	n := len(insts)
 	if n == 0 {
@@ -180,7 +180,7 @@ func (sc *SimContext) anchorPass(cl ClusterConfig, anchor workload.Profile, freq
 	bounds := [4]int{0, n / 4, n / 2, n}
 	// Replay is all-or-nothing: a plainly simulated chunk needs live cache
 	// contents, which a preceding replayed chunk leaves stale.
-	replayAll := traces[0].Valid() && traces[1].Valid() && traces[2].Valid()
+	replayAll := !record && traces[0].Valid() && traces[1].Valid() && traces[2].Valid()
 
 	var sum pipeline.Tally
 	for i := 0; i < 3; i++ {

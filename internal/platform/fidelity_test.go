@@ -110,28 +110,51 @@ func TestAtomicErrorBound(t *testing.T) {
 	}
 }
 
-// TestAtomicDeterminism pins the atomic tier's reproducibility: a fresh
-// context, a reused context mid-sweep and a transient-per-run context
-// must predict bit-identical Measurements.
+// TestAtomicDeterminism pins the atomic tier's reproducibility: a context
+// reused across sweeps must predict the Measurements a fresh context
+// predicts, bit for bit. (The only transient context, inside
+// Platform.Run, runs the detailed tier alone.) The reused context sweeps
+// workload A, then B, then A again, so its cached anchors, and the
+// per-cluster anchor traces it records them with, are replaced twice: a
+// stale trace replayed for another workload would show here. Each point
+// is checked against a context that swept the same workload alone, and
+// the points of scratch also against a new context, whose anchors are
+// computed from scratch at that point: anchors corrupted while predicting
+// the earlier points of a sweep would show there on both cached sides.
 func TestAtomicDeterminism(t *testing.T) {
 	pl := hw.Platform()
-	prof, err := workload.ByName("dhrystone")
+	cl, err := pl.Cluster(hw.ClusterA15)
 	if err != nil {
 		t.Fatal(err)
 	}
+	scratch := map[int]bool{600: true, 1000: true, 1400: true, 1800: true}
 	reused := platform.NewSimContext(pl)
-	for _, f := range []int{600, 1000, 1400, 1800} {
-		a, err := reused.RunFidelity(prof, hw.ClusterA15, f, platform.FidelityAtomic, nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, name := range []string{"dhrystone", "parsec-canneal-4", "dhrystone"} {
+		prof := mustProfile(t, name)
+		swept := platform.NewSimContext(pl)
+		checked := 0
+		for _, f := range cl.Frequencies() {
+			got, err := reused.RunFidelity(prof, hw.ClusterA15, f, platform.FidelityAtomic, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs := map[string]*platform.SimContext{"sweep": swept}
+			if scratch[f] {
+				refs["fresh"] = platform.NewSimContext(pl)
+				checked++
+			}
+			for ref, sc := range refs {
+				want, err := sc.RunFidelity(prof, hw.ClusterA15, f, platform.FidelityAtomic, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s@%dMHz: reused context diverged from the %s context\ngot:  %+v\nwant: %+v", name, f, ref, got, want)
+				}
+			}
 		}
-		fresh := platform.NewSimContext(pl)
-		b, err := fresh.RunFidelity(prof, hw.ClusterA15, f, platform.FidelityAtomic, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("@%dMHz: reused context diverged from fresh context\ngot:  %+v\nwant: %+v", f, a, b)
+		if checked != len(scratch) {
+			t.Fatalf("%s: %d of the %d from-scratch points are in the A15 DVFS table", name, checked, len(scratch))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package platform_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"gemstone/internal/gem5"
@@ -139,6 +140,38 @@ func TestRunDeterminism(t *testing.T) {
 	if a.Seconds != b.Seconds || a.PowerWatts != b.PowerWatts {
 		t.Fatalf("non-deterministic measurement: %v/%v vs %v/%v",
 			a.Seconds, a.PowerWatts, b.Seconds, b.PowerWatts)
+	}
+}
+
+// TestSimContextReuseAllocs guards the reuse of a context's stream and
+// DVFS traces (full-run and anchor): the first sweeps of a tier grow them
+// to fit, and once it has swept both workloads, sweeping either again
+// allocates no new storage. Each such sweep may allocate up to
+// allocSlack, a run's small bookkeeping; any stream or trace for these
+// 240k-instruction workloads is larger.
+func TestSimContextReuseAllocs(t *testing.T) {
+	const allocSlack = 64 << 10
+	pl := hw.Platform()
+	cl, err := pl.Cluster(hw.ClusterA15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := mustProfile(t, "dhrystone"), mustProfile(t, "parsec-canneal-4")
+	sc := platform.NewSimContext(pl)
+	for _, fid := range []platform.Fidelity{platform.FidelityDetailed, platform.FidelityAtomic} {
+		for i, prof := range []workload.Profile{a, b, a, b} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, f := range cl.Frequencies() {
+				if _, err := sc.RunFidelity(prof, hw.ClusterA15, f, fid, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; i >= 2 && n > allocSlack {
+				t.Errorf("%v sweep of %s on a reused context allocated %d bytes", fid, prof.Name, n)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package platform
 
 import (
 	"fmt"
-	"slices"
 
 	"gemstone/internal/branch"
 	"gemstone/internal/isa"
@@ -39,6 +38,11 @@ type clusterSim struct {
 	// so one context sees every point of a sweep back to back (see
 	// SimContext; internal/dist still dispatches per job).
 	anchors atomicAnchors
+	// anchorTraces are the anchor passes' per-checkpoint memory traces,
+	// kept apart from trace so that an anchor computation never displaces
+	// the detailed tier's full-run trace, and kept here so that their
+	// storage is reused across anchor computations.
+	anchorTraces [3]mem.DVFSTrace
 }
 
 // SimContext runs workloads on a Platform while reusing all heavyweight
@@ -117,20 +121,20 @@ func (sc *SimContext) sim(cl ClusterConfig, prof workload.Profile, ghz float64) 
 // context's reused buffer: consecutive runs of the same workload (other
 // cluster, other frequency, or the atomic tier's second anchor pass) skip
 // regeneration entirely. The slice is the exact sequence the generator
-// produces.
+// produces. The buffer is sized once, to prof.MaxStreamLen(), and never
+// regrown: a smaller workload reuses it as is.
 func (sc *SimContext) expand(prof workload.Profile) []isa.Inst {
 	if !sc.streamOK || sc.streamProf != prof {
-		g := workload.NewGenerator(prof)
-		insts := sc.streamBuf[:0]
-		for {
-			insts = slices.Grow(insts, 4096)
-			n := g.NextBlock(insts[len(insts):cap(insts)])
-			if n == 0 {
-				break
-			}
-			insts = insts[: len(insts)+n : cap(insts)]
+		buf := sc.streamBuf[:cap(sc.streamBuf)]
+		if bound := prof.MaxStreamLen(); len(buf) < bound {
+			buf = make([]isa.Inst, bound)
 		}
-		sc.streamBuf = insts
+		g := workload.NewGenerator(prof)
+		n := g.NextBlock(buf)
+		if _, more := g.Next(); more {
+			panic(fmt.Sprintf("platform: %s overran its stream bound of %d instructions", prof.Name, len(buf)))
+		}
+		sc.streamBuf = buf[:n]
 		sc.streamProf = prof
 		sc.streamOK = true
 	}

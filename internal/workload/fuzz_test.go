@@ -62,11 +62,9 @@ func FuzzGenerator(f *testing.F) {
 			t.Fatalf("stream ended after %d of %d instructions", count, p.TotalInsts)
 		}
 		// The generator finishes the basic block in flight when the budget
-		// runs out; anything past one block plus one emitted callee body is
-		// a runaway.
-		slack := 2*(p.BlockLen+1) + 2
-		if count > p.TotalInsts+slack {
-			t.Fatalf("stream overran its budget: %d > %d+%d", count, p.TotalInsts, slack)
+		// runs out; anything past MaxStreamLen is a runaway.
+		if count > p.MaxStreamLen() {
+			t.Fatalf("stream overran its bound: %d > %d", count, p.MaxStreamLen())
 		}
 		if again := emitAll(t, NewGenerator(p)); again != count {
 			t.Fatalf("same profile generated %d then %d instructions", count, again)

@@ -316,6 +316,15 @@ func (g *Generator) bodyBlock(pos int) int {
 	return (g.loopStart + pos) % g.p.CodeBlocks
 }
 
+// MaxStreamLen bounds the length of p's instruction stream, so a caller
+// can expand it into one allocation. The generator stops only between
+// basic blocks, so the stream overruns TotalInsts by at most one block
+// less one instruction. The largest block that fill emits is a call:
+// BlockLen body slots of at most two instructions each (an LDREX/STREX
+// pair), the terminator, the callee's body of the same size and the
+// return — 4·BlockLen+2 instructions.
+func (p Profile) MaxStreamLen() int { return p.TotalInsts + 4*p.BlockLen + 1 }
+
 // fill emits one basic block (body + terminator) into the buffer.
 func (g *Generator) fill() {
 	g.buf = g.buf[:0]

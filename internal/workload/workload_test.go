@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -92,6 +93,26 @@ func TestGeneratorRespectsBudget(t *testing.T) {
 			t.Fatalf("%s: emitted %d instructions, budget %d", name, len(insts), p.TotalInsts)
 		}
 	}
+}
+
+// TestMaxStreamLen checks the expansion bound on every suite profile,
+// parallel ones (whose bodies carry LDREX/STREX pairs) included: the
+// stream covers its budget and never outgrows MaxStreamLen.
+func TestMaxStreamLen(t *testing.T) {
+	worst, worstAt := 0, ""
+	var buf []isa.Inst
+	for _, p := range All() {
+		// One slot of headroom, so an overrun shows as n > MaxStreamLen.
+		buf = slices.Grow(buf[:0], p.MaxStreamLen()+1)[:p.MaxStreamLen()+1]
+		n := NewGenerator(p).NextBlock(buf)
+		if n < p.TotalInsts || n > p.MaxStreamLen() {
+			t.Errorf("%s: stream of %d instructions outside [%d, %d]", p.Name, n, p.TotalInsts, p.MaxStreamLen())
+		}
+		if over := n - p.TotalInsts; over > worst {
+			worst, worstAt = over, p.Name
+		}
+	}
+	t.Logf("largest overrun: %d instructions (%s)", worst, worstAt)
 }
 
 func TestGeneratorStreamsDifferAcrossWorkloads(t *testing.T) {

@@ -41,7 +41,7 @@ go test -race -timeout 45m ./...
 # explicit -run keeps this step honest even if the main suite above ever
 # narrows its selection.
 go test -count=1 -run '^Fuzz' \
-	./internal/core ./internal/workload ./internal/serve
+	./internal/core ./internal/gem5 ./internal/serve ./internal/workload
 
 # Trace-overhead smoke (mirrors `make trace-smoke`): traced vs untraced
 # two-worker campaigns, best-of-5, asserting the <=2% tracing bar. Run
