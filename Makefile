@@ -92,12 +92,16 @@ experiments:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
 # Short fuzz smoke of every fuzz target (run-set archives, gem5 stats
-# files, campaign specs, generator).
+# files, campaign specs, generator). Minimisation of each new
+# interesting input is capped at 1s (the default is 60s): uncapped, a
+# worker could spend the whole 10s window minimising one run-set
+# archive and run nothing else.
+FUZZ = $(GO) test -run '^$$' -fuzztime 10s -fuzzminimizetime 1s -fuzz
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzLoadRunSet -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzParseStatsFile -fuzztime 10s ./internal/gem5
-	$(GO) test -run '^$$' -fuzz FuzzCampaignSpec -fuzztime 10s ./internal/serve
-	$(GO) test -run '^$$' -fuzz FuzzGenerator -fuzztime 10s ./internal/workload
+	$(FUZZ) FuzzLoadRunSet ./internal/core
+	$(FUZZ) FuzzParseStatsFile ./internal/gem5
+	$(FUZZ) FuzzCampaignSpec ./internal/serve
+	$(FUZZ) FuzzGenerator ./internal/workload
 
 clean:
 	$(GO) clean ./...

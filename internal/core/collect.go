@@ -78,6 +78,12 @@ type CollectOptions struct {
 	Clusters []string
 	// Freqs per cluster; nil means the paper's Experiment-1 frequencies.
 	Freqs map[string][]int
+	// Points, when non-empty, restricts the campaign to these points of
+	// the Workloads × Clusters × Freqs grid, planned once each in grid
+	// order; nil means the whole grid. A point outside the grid is a
+	// planning error, not silently dropped. Screen re-simulates its
+	// flagged points this way.
+	Points []RunKey
 	// Fidelity selects the simulation tier for every run of the campaign.
 	// The zero value is the detailed (bit-for-bit pinned) tier;
 	// FidelityAtomic predicts runs from truncated anchor simulations at a
@@ -253,6 +259,13 @@ func PlanCampaign(pl *platform.Platform, opt *CollectOptions) ([]PlannedJob, err
 			clusterFP[cl] = cc.Fingerprint()
 		}
 	}
+	var planned map[RunKey]bool // per opt.Points entry: reached by the grid
+	if len(opt.Points) > 0 {
+		planned = make(map[RunKey]bool, len(opt.Points))
+		for _, k := range opt.Points {
+			planned[k] = false
+		}
+	}
 	var jobs []PlannedJob
 	for _, prof := range opt.Workloads {
 		var profJSON []byte
@@ -262,11 +275,22 @@ func PlanCampaign(pl *platform.Platform, opt *CollectOptions) ([]PlannedJob, err
 		for _, cl := range opt.Clusters {
 			for _, f := range opt.Freqs[cl] {
 				j := PlannedJob{Profile: prof, Key: RunKey{Workload: prof.Name, Cluster: cl, FreqMHz: f}}
+				if planned != nil {
+					if _, ok := planned[j.Key]; !ok {
+						continue
+					}
+					planned[j.Key] = true
+				}
 				if opt.Cache != nil {
 					j.CacheKey = cacheKeyFromParts(cfg.Name, cfg.HasSensors, cl, clusterFP[cl], profJSON, f, opt.Fidelity)
 				}
 				jobs = append(jobs, j)
 			}
+		}
+	}
+	for _, k := range opt.Points {
+		if !planned[k] {
+			return nil, fmt.Errorf("core: campaign point %s is not in the Workloads × Clusters × Freqs grid", k)
 		}
 	}
 	return jobs, nil

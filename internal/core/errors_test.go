@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"gemstone/internal/hw"
 	"gemstone/internal/platform"
+	"gemstone/internal/workload"
 )
 
 // The campaign error chain is part of the public contract: callers detect
@@ -125,5 +127,74 @@ func TestPlanCampaignMatchesCollect(t *testing.T) {
 		if j.CacheKey != want {
 			t.Fatalf("job %d cache key %q, want %q", i, j.CacheKey, want)
 		}
+	}
+}
+
+// TestPlanCampaignPoints pins CollectOptions.Points: nil plans the whole
+// grid, a subset keeps the grid's workload-major order whatever order it
+// is listed in, a listed duplicate plans its point once, and a point
+// outside the Workloads × Clusters × Freqs grid is a planning error, not
+// silently dropped.
+func TestPlanCampaignPoints(t *testing.T) {
+	pl := hw.Platform()
+	wl := workload.Validation()[:3]
+	grid := func(points []RunKey) CollectOptions {
+		return CollectOptions{
+			Workloads: wl,
+			Clusters:  []string{hw.ClusterA7, hw.ClusterA15},
+			Freqs:     map[string][]int{hw.ClusterA7: {600, 1000}, hw.ClusterA15: {1000, 1400}},
+			Points:    points,
+		}
+	}
+	key := func(w int, cl string, f int) RunKey { return RunKey{Workload: wl[w].Name, Cluster: cl, FreqMHz: f} }
+	var full []RunKey
+	for w := range wl {
+		for _, cl := range []string{hw.ClusterA7, hw.ClusterA15} {
+			for _, f := range grid(nil).Freqs[cl] {
+				full = append(full, key(w, cl, f))
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		points  []RunKey
+		want    []RunKey
+		wantErr bool
+	}{
+		{name: "nil", points: nil, want: full},
+		{name: "empty", points: []RunKey{}, want: full},
+		{name: "subset", points: []RunKey{
+			key(2, hw.ClusterA7, 600), key(0, hw.ClusterA15, 1400), key(0, hw.ClusterA7, 1000), key(2, hw.ClusterA15, 1000),
+		}, want: []RunKey{
+			key(0, hw.ClusterA7, 1000), key(0, hw.ClusterA15, 1400), key(2, hw.ClusterA7, 600), key(2, hw.ClusterA15, 1000),
+		}},
+		{name: "duplicate", points: []RunKey{
+			key(1, hw.ClusterA15, 1000), key(1, hw.ClusterA15, 1000),
+		}, want: []RunKey{key(1, hw.ClusterA15, 1000)}},
+		{name: "unknown frequency", points: []RunKey{key(0, hw.ClusterA15, 600)}, wantErr: true},
+		{name: "unknown workload", points: []RunKey{
+			key(0, hw.ClusterA7, 600), {Workload: "no-such-workload", Cluster: hw.ClusterA7, FreqMHz: 600},
+		}, wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := grid(tc.points)
+			jobs, err := PlanCampaign(pl, &opt)
+			if tc.wantErr {
+				if err == nil {
+					t.Fatalf("planned %d jobs for a point outside the grid", len(jobs))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]RunKey, len(jobs))
+			for i, j := range jobs {
+				got[i] = j.Key
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("planned %v, want %v", got, tc.want)
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"gemstone/internal/platform"
@@ -40,8 +41,8 @@ type ScreenOptions struct {
 	OutlierZ float64
 	// Collect, when non-nil, replaces the local campaign runner — the
 	// service layer injects the distributed coordinator here. Every
-	// sub-campaign of the screen (two atomic sweeps, then the detailed
-	// re-simulations) goes through it.
+	// sub-campaign of the screen (an atomic sweep, then a detailed
+	// re-simulation of the flagged points, per platform) goes through it.
 	Collect func(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*RunSet, error)
 }
 
@@ -88,8 +89,8 @@ func Screen(ctx context.Context, hwPl, simPl *platform.Platform, opt ScreenOptio
 
 	// Phase 1: atomic sweeps of the full grid on both platforms. The
 	// options are filled against the reference platform up front so both
-	// platforms sweep the identical grid and phase 3 can resolve flagged
-	// workload names back to profiles.
+	// platforms sweep the identical grid and phase 3 can restrict that
+	// same grid to the flagged points.
 	atomicOpt := opt.Options
 	atomicOpt.Fidelity = platform.FidelityAtomic
 	if err := atomicOpt.fill(hwPl); err != nil {
@@ -149,70 +150,40 @@ func Screen(ctx context.Context, hwPl, simPl *platform.Platform, opt ScreenOptio
 		}
 	}
 	result := &ScreenResult{HW: hwRuns, Sim: simRuns, ScreenedPE: pes}
+	flaggedWL := map[string]bool{}
 	for _, k := range byMag {
 		if flagged[k] {
 			result.Flagged = append(result.Flagged, k)
+			flaggedWL[k.Workload] = true
 		}
 	}
 	if len(result.Flagged) == 0 {
 		return result, nil
 	}
 
-	// Phase 3: re-simulate the flagged points detailed on both platforms
-	// and merge. Flagged points are grouped per (workload, cluster) so one
-	// sub-campaign sweeps all flagged frequencies of a workload — the
-	// grouping keeps the campaign grid-shaped (Collect options describe a
-	// cross product) without re-running anything that was not flagged.
-	profiles := map[string]workload.Profile{}
-	for _, prof := range atomicOpt.Workloads {
-		profiles[prof.Name] = prof
+	// Phase 3: re-simulate the flagged points detailed and merge, in one
+	// campaign per platform: the screened grid restricted to the flagged
+	// points and to the workloads holding them. It plans workload-major
+	// like any campaign, so each lane still claims whole workload groups
+	// or sweeps and expands each flagged workload once.
+	detOpt := atomicOpt
+	detOpt.Fidelity = platform.FidelityDetailed
+	detOpt.Workloads = slices.DeleteFunc(slices.Clone(atomicOpt.Workloads),
+		func(p workload.Profile) bool { return !flaggedWL[p.Name] })
+	detOpt.Points = result.Flagged
+	if detOpt.Name != "" {
+		detOpt.Name = opt.Options.Name + "#resim"
 	}
-	type group struct {
-		prof  workload.Profile
-		freqs map[string][]int
-	}
-	groups := map[string]*group{}
-	var groupOrder []string
-	for _, k := range result.Flagged {
-		prof, ok := profiles[k.Workload]
-		if !ok {
-			return nil, fmt.Errorf("core: screen flagged unknown workload %q", k.Workload)
+	for _, pair := range []struct {
+		pl *platform.Platform
+		rs *RunSet
+	}{{hwPl, hwRuns}, {simPl, simRuns}} {
+		det, err := collect(ctx, pair.pl, detOpt)
+		if err != nil {
+			return nil, fmt.Errorf("core: re-simulating %d flagged points on %s: %w", len(result.Flagged), pair.pl.Name(), err)
 		}
-		g := groups[k.Workload]
-		if g == nil {
-			g = &group{prof: prof, freqs: map[string][]int{}}
-			groups[k.Workload] = g
-			groupOrder = append(groupOrder, k.Workload)
-		}
-		g.freqs[k.Cluster] = append(g.freqs[k.Cluster], k.FreqMHz)
-	}
-	for gi, name := range groupOrder {
-		g := groups[name]
-		detOpt := opt.Options
-		detOpt.Fidelity = platform.FidelityDetailed
-		detOpt.Workloads = []workload.Profile{g.prof}
-		detOpt.Clusters = nil
-		detOpt.Freqs = map[string][]int{}
-		for cl, fs := range g.freqs {
-			sort.Ints(fs)
-			detOpt.Clusters = append(detOpt.Clusters, cl)
-			detOpt.Freqs[cl] = fs
-		}
-		sort.Strings(detOpt.Clusters)
-		if detOpt.Name != "" {
-			detOpt.Name = fmt.Sprintf("%s#resim-%d", opt.Options.Name, gi)
-		}
-		for _, pair := range []struct {
-			pl *platform.Platform
-			rs *RunSet
-		}{{hwPl, hwRuns}, {simPl, simRuns}} {
-			det, err := collect(ctx, pair.pl, detOpt)
-			if err != nil {
-				return nil, fmt.Errorf("core: re-simulating flagged %s on %s: %w", name, pair.pl.Name(), err)
-			}
-			for k, m := range det.Runs {
-				pair.rs.Runs[k] = m
-			}
+		for k, m := range det.Runs {
+			pair.rs.Runs[k] = m
 		}
 	}
 	return result, nil

@@ -207,3 +207,94 @@ func (doneObserver) CacheHit(RunKey)                                     {}
 func (doneObserver) RunDone(RunKey, platform.Measurement, time.Duration) {}
 func (doneObserver) RunError(RunKey, error)                              {}
 func (d doneObserver) CollectDone(s CollectStats)                        { *d.into = s }
+
+// TestScreenResimOneCampaignPerPlatform pins phase 3's shape: the flagged
+// points, spread over several workloads and both clusters, are
+// re-simulated in exactly one detailed campaign per platform, that
+// campaign plans exactly the flagged points, each re-simulated point is
+// bit-identical to a fresh detailed Platform.Run, and every unflagged
+// point keeps its atomic prediction.
+func TestScreenResimOneCampaignPerPlatform(t *testing.T) {
+	hwPl, simPl := hw.Platform(), gem5.Platform(gem5.V1)
+	// Four workloads on both clusters, five of the eight points flagged:
+	// at most three stay atomic, so the flagged points cover at least
+	// three workloads and both clusters.
+	opt := CollectOptions{
+		Name:      "grid",
+		Workloads: workload.Validation()[:4],
+		Clusters:  []string{hw.ClusterA7, hw.ClusterA15},
+		Freqs:     map[string][]int{hw.ClusterA7: {1000}, hw.ClusterA15: {1000}},
+	}
+	detailed := map[string][]RunKey{}
+	calls := map[string]int{}
+	collect := func(ctx context.Context, pl *platform.Platform, o CollectOptions) (*RunSet, error) {
+		if o.Fidelity == platform.FidelityDetailed {
+			calls[pl.Name()]++
+			if o.Name != "grid#resim" {
+				t.Errorf("re-simulation campaign named %q, want grid#resim", o.Name)
+			}
+			planOpt := o
+			jobs, err := PlanCampaign(pl, &planOpt)
+			if err != nil {
+				return nil, err
+			}
+			for _, j := range jobs {
+				detailed[pl.Name()] = append(detailed[pl.Name()], j.Key)
+			}
+		}
+		return Collect(ctx, pl, o)
+	}
+	res, err := Screen(context.Background(), hwPl, simPl, ScreenOptions{
+		Options: opt, TopK: 5, OutlierZ: -1, Collect: collect,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged := map[RunKey]bool{}
+	workloads, clusters := map[string]bool{}, map[string]bool{}
+	for _, k := range res.Flagged {
+		flagged[k] = true
+		workloads[k.Workload] = true
+		clusters[k.Cluster] = true
+	}
+	if len(res.Flagged) != 5 || len(workloads) < 3 || len(clusters) != 2 {
+		t.Fatalf("flagged %v: want 5 points over at least 3 workloads and both clusters", res.Flagged)
+	}
+	if len(calls) != 2 || calls[hwPl.Name()] != 1 || calls[simPl.Name()] != 1 {
+		t.Fatalf("detailed campaigns per platform: %v, want one on each of 2", calls)
+	}
+	for name, keys := range detailed {
+		if len(keys) != len(res.Flagged) {
+			t.Fatalf("%s re-simulation planned %d jobs, want the %d flagged points", name, len(keys), len(res.Flagged))
+		}
+		for _, k := range keys {
+			if !flagged[k] {
+				t.Fatalf("%s re-simulation planned unflagged point %v", name, k)
+			}
+		}
+	}
+
+	for _, pair := range []struct {
+		pl *platform.Platform
+		rs *RunSet
+	}{{hwPl, res.HW}, {simPl, res.Sim}} {
+		if len(pair.rs.Runs) != 8 {
+			t.Fatalf("%s has %d runs, want 8", pair.rs.Platform, len(pair.rs.Runs))
+		}
+		for k, m := range pair.rs.Runs {
+			if !flagged[k] {
+				if m.Fidelity != platform.FidelityAtomic {
+					t.Fatalf("%s unflagged run %v has fidelity %s", pair.rs.Platform, k, m.Fidelity)
+				}
+				continue
+			}
+			want, err := pair.pl.Run(mustProfile(t, k.Workload), k.Cluster, k.FreqMHz)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m != want {
+				t.Fatalf("%s re-simulated %v differs from a fresh detailed run", pair.rs.Platform, k)
+			}
+		}
+	}
+}

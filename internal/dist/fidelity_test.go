@@ -101,3 +101,41 @@ func TestWorkerRejectsInvalidFidelity(t *testing.T) {
 		t.Fatalf("invalid fidelity: status %d, want 422", resp.StatusCode)
 	}
 }
+
+// TestDistributedPointsCampaign pins that a campaign restricted to some
+// grid points (CollectOptions.Points, as a screen's re-simulation uses)
+// runs exactly those points remotely and returns the byte-identical
+// archive a local collection of the same points produces.
+func TestDistributedPointsCampaign(t *testing.T) {
+	n := campaignSize(t)
+	opt := campaignOpts(n)
+	opt.Freqs = map[string][]int{hw.ClusterA15: {600, 1000}}
+	opt.Points = []core.RunKey{
+		{Workload: opt.Workloads[n-1].Name, Cluster: hw.ClusterA15, FreqMHz: 600},
+		{Workload: opt.Workloads[0].Name, Cluster: hw.ClusterA15, FreqMHz: 1000},
+	}
+	local, err := core.Collect(context.Background(), hw.Platform(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(local.Runs) != len(opt.Points) {
+		t.Fatalf("local campaign ran %d points, want %d", len(local.Runs), len(opt.Points))
+	}
+
+	w := startWorker(t, nil)
+	coord := NewCoordinator(CoordinatorConfig{Workers: []string{w.URL}})
+	dist, err := coord.Collect(context.Background(), hw.Platform(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := archiveBytes(t, dist), archiveBytes(t, local); !bytes.Equal(got, want) {
+		t.Fatalf("distributed archive differs from local: %d vs %d bytes", len(got), len(want))
+	}
+	remote := 0
+	for _, ws := range coord.WorkerStats() {
+		remote += ws.Jobs
+	}
+	if remote != len(opt.Points) {
+		t.Fatalf("workers ran %d jobs, want %d", remote, len(opt.Points))
+	}
+}

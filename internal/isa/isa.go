@@ -138,8 +138,8 @@ type Inst struct {
 	Taken bool
 	// Unaligned marks memory accesses that cross an alignment boundary.
 	// It sits with the other byte fields so that Inst packs into 32
-	// bytes (TestInstSize pins it): expanded streams hold hundreds of
-	// thousands of them.
+	// bytes (TestInstSize pins it): a run streams hundreds of thousands
+	// of them.
 	Unaligned bool
 	// Target is the actual target of a taken branch.
 	Target uint64

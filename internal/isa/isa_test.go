@@ -83,7 +83,7 @@ func TestCollect(t *testing.T) {
 	}
 }
 
-// TestInstSize pins the packed Inst layout: every expanded stream and
+// TestInstSize pins the packed Inst layout: every generated block and
 // every timing-loop block holds Insts by value, so a field that breaks
 // the packing grows all of them by a quarter.
 func TestInstSize(t *testing.T) {

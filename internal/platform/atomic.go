@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 
-	"gemstone/internal/isa"
 	"gemstone/internal/obs"
 	"gemstone/internal/pipeline"
 	"gemstone/internal/pmu"
@@ -184,7 +183,7 @@ func (sc *SimContext) anchorPass(cl ClusterConfig, anchor workload.Profile, freq
 
 	var sum pipeline.Tally
 	for i := 0; i < 3; i++ {
-		chunk := sc.wrap(isa.NewSliceStream(insts[bounds[i]:bounds[i+1]]))
+		chunk := sc.wrap(&packedStream{insts: insts[bounds[i]:bounds[i+1]]})
 		if replayAll {
 			if !hier.BeginTraceReplay(&traces[i]) {
 				return cp, fmt.Errorf("anchor trace %d invalid mid-pass", i)

@@ -69,10 +69,11 @@ type SimContext struct {
 	// trace.
 	sims map[string]*clusterSim
 
-	// One-entry expanded-stream cache, keyed by the (comparable) Profile.
+	// One-entry expanded-stream cache, keyed by the (comparable) Profile,
+	// stored packed (see packedInst).
 	streamProf workload.Profile
 	streamOK   bool
-	streamBuf  []isa.Inst
+	streamBuf  []packedInst
 
 	// ScalarStreams forces the timing models onto the scalar Next() path
 	// by hiding the BlockStream fast path of every stream handed to the
@@ -120,21 +121,27 @@ func (sc *SimContext) sim(cl ClusterConfig, prof workload.Profile, ghz float64) 
 // expand returns prof's instruction stream, expanded once into the
 // context's reused buffer: consecutive runs of the same workload (other
 // cluster, other frequency, or the atomic tier's second anchor pass) skip
-// regeneration entirely. The slice is the exact sequence the generator
-// produces. The buffer is sized once, to prof.MaxStreamLen(), and never
-// regrown: a smaller workload reuses it as is.
-func (sc *SimContext) expand(prof workload.Profile) []isa.Inst {
+// regeneration entirely. The slice packs the exact sequence the generator
+// produces; replay it with a packedStream. The buffer is sized once, to
+// prof.MaxStreamLen(), and never regrown: a smaller workload reuses it as
+// is.
+func (sc *SimContext) expand(prof workload.Profile) []packedInst {
 	if !sc.streamOK || sc.streamProf != prof {
-		buf := sc.streamBuf[:cap(sc.streamBuf)]
-		if bound := prof.MaxStreamLen(); len(buf) < bound {
-			buf = make([]isa.Inst, bound)
+		buf := sc.streamBuf[:0]
+		if bound := prof.MaxStreamLen(); cap(buf) < bound {
+			buf = make([]packedInst, 0, bound)
 		}
 		g := workload.NewGenerator(prof)
-		n := g.NextBlock(buf)
-		if _, more := g.Next(); more {
-			panic(fmt.Sprintf("platform: %s overran its stream bound of %d instructions", prof.Name, len(buf)))
+		var block [256]isa.Inst
+		for n := g.NextBlock(block[:]); n > 0; n = g.NextBlock(block[:]) {
+			if len(buf)+n > cap(buf) {
+				panic(fmt.Sprintf("platform: %s overran its stream bound of %d instructions", prof.Name, cap(buf)))
+			}
+			for _, in := range block[:n] {
+				buf = append(buf, pack(in))
+			}
 		}
-		sc.streamBuf = buf[:n]
+		sc.streamBuf = buf
 		sc.streamProf = prof
 		sc.streamOK = true
 	}
@@ -227,7 +234,7 @@ func (sc *SimContext) simulate(pt point, parent *obs.Span) pmu.Sample {
 	var stream isa.Stream
 	replaying, tracing := false, sc.sims != nil
 	if tracing {
-		stream = isa.NewSliceStream(sc.expand(pt.prof))
+		stream = &packedStream{insts: sc.expand(pt.prof)}
 		if s.traceOK && s.traceProf == pt.prof {
 			replaying = hier.BeginTraceReplay(&s.trace)
 		} else {

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -16,6 +17,39 @@ func allocBytes(f func()) uint64 {
 	f()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestPackedStreamRoundTrip pins the packed expansion as lossless: for
+// every suite workload, replaying it through the batched and the scalar
+// path yields exactly the generator's instruction sequence. The odd block
+// size puts block boundaries everywhere in the stream.
+func TestPackedStreamRoundTrip(t *testing.T) {
+	sc := NewSimContext(nil) // expansion needs no platform
+	block := make([]isa.Inst, 97)
+	for _, prof := range workload.All() {
+		want := make([]isa.Inst, prof.MaxStreamLen())
+		want = want[:workload.NewGenerator(prof).NextBlock(want)]
+		packed := sc.expand(prof)
+		batched := &packedStream{insts: packed}
+		i := 0
+		for n := batched.NextBlock(block); n > 0; n = batched.NextBlock(block) {
+			if i+n > len(want) || !slices.Equal(block[:n], want[i:i+n]) {
+				t.Fatalf("%s: batched packed replay differs from the generator in instructions %d-%d", prof.Name, i, i+n)
+			}
+			i += n
+		}
+		scalar := &packedStream{insts: packed}
+		j := 0
+		for in, ok := scalar.Next(); ok; in, ok = scalar.Next() {
+			if j >= len(want) || in != want[j] {
+				t.Fatalf("%s: scalar packed replay differs from the generator at instruction %d", prof.Name, j)
+			}
+			j++
+		}
+		if i != len(want) || j != len(want) {
+			t.Fatalf("%s: packed replays delivered %d and %d instructions, want %d", prof.Name, i, j, len(want))
+		}
+	}
 }
 
 // TestExpandSizedOnce guards the sizing of a context's expanded stream:
@@ -38,9 +72,9 @@ func TestExpandSizedOnce(t *testing.T) {
 	}
 	sc := NewSimContext(nil) // expansion needs no platform
 
-	var insts []isa.Inst
+	var insts []packedInst
 	n := allocBytes(func() { insts = sc.expand(a) })
-	buf := uint64(a.MaxStreamLen()) * uint64(unsafe.Sizeof(isa.Inst{}))
+	buf := uint64(a.MaxStreamLen()) * uint64(unsafe.Sizeof(packedInst{}))
 	if cap(insts) != a.MaxStreamLen() || n < buf || n > buf+allocSlack {
 		t.Fatalf("fresh expansion of %s: cap %d, %d bytes allocated; want cap %d, one %d-byte buffer",
 			a.Name, cap(insts), n, a.MaxStreamLen(), buf)

@@ -112,9 +112,11 @@ func TestCampaignCacheFidelityIsolation(t *testing.T) {
 }
 
 // TestScreenModeCampaign runs a screen-then-resimulate campaign through
-// the service: the stream carries a "screened" frame, the flagged points
-// hold detailed measurements in the merged archives, and the ledger
-// entry records the mode and the flagged points.
+// the service: the stream carries a "screened" frame and one
+// collect-start frame per sub-campaign (an atomic sweep and one
+// re-simulation per platform), the flagged points hold detailed
+// measurements in the merged archives, and the ledger entry records the
+// mode and the flagged points.
 func TestScreenModeCampaign(t *testing.T) {
 	n := campaignSize(t)
 	ledgerPath := filepath.Join(t.TempDir(), "ledger.jsonl")
@@ -131,13 +133,31 @@ func TestScreenModeCampaign(t *testing.T) {
 		t.Fatalf("stream ended with %q (error=%q), want done", last.Type, last.Error)
 	}
 	screened := -1
+	var starts []Event
 	for _, e := range events {
-		if e.Type == "screened" {
+		switch e.Type {
+		case "screened":
 			screened = e.Flagged
+		case "collect-start":
+			starts = append(starts, e)
 		}
 	}
 	if screened < 0 {
 		t.Fatal("no screened frame on the event stream")
+	}
+	// One collect-start per campaign: the atomic sweep on each platform,
+	// then one re-simulation of all the flagged points on each platform.
+	if len(starts) != 4 {
+		t.Fatalf("%d collect-start frames, want 4 (2 atomic, 2 re-simulation)", len(starts))
+	}
+	for i, e := range starts {
+		want := n
+		if i >= 2 {
+			want = screened
+		}
+		if e.Jobs != want {
+			t.Fatalf("collect-start %d on %s has %d jobs, want %d", i, e.Platform, e.Jobs, want)
+		}
 	}
 
 	scan, err := ledger.Open(ledgerPath).Scan()
