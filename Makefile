@@ -92,7 +92,7 @@ experiments:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
 # Short fuzz smoke of every fuzz target (run-set archives, gem5 stats
-# files, campaign specs, generator). Minimisation of each new
+# files, campaign specs, generator, sweep lanes). Minimisation of each new
 # interesting input is capped at 1s (the default is 60s): uncapped, a
 # worker could spend the whole 10s window minimising one run-set
 # archive and run nothing else.
@@ -102,6 +102,7 @@ fuzz:
 	$(FUZZ) FuzzParseStatsFile ./internal/gem5
 	$(FUZZ) FuzzCampaignSpec ./internal/serve
 	$(FUZZ) FuzzGenerator ./internal/workload
+	$(FUZZ) FuzzRunSweep ./internal/platform
 
 clean:
 	$(GO) clean ./...

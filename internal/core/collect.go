@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,10 +105,11 @@ type CollectOptions struct {
 	Observer CollectObserver
 	// Tracer, when non-nil, records the campaign's phases as spans:
 	// "collect" (the whole campaign) with a "plan" child, one root per
-	// worker, and per-job "cache-get"/"simulate"/"cache-put" children.
-	// The simulate span is passed into SimContext.RunFidelity, so the
-	// simulator's internal phases nest under it. Export the result with
-	// Tracer.WriteChromeTrace.
+	// worker, per-job "cache-get" and "cache-put" children, and one
+	// "simulate" child per simulated sweep (per job on an executor lane),
+	// whose "key" attribute lists its points. The simulate span is passed
+	// into SimContext.RunSweep, so the simulator's internal phases nest
+	// under it. Export the result with Tracer.WriteChromeTrace.
 	Tracer *obs.Tracer
 	// Trace is the campaign's correlation identity (campaign ID, tenant)
 	// for distributed execution: a coordinator stamps it — plus the job
@@ -239,8 +241,8 @@ type PlannedJob struct {
 // and within them each (workload, cluster) DVFS sweep is too.
 // CollectWith's lanes claim those runs whole — a workload group, or a
 // sweep when the campaign has fewer workloads than lanes — so a lane
-// simulating locally reuses its SimContext's expanded stream, DVFS trace
-// and atomic anchors across the sweep. The ordering never changes the
+// simulating locally runs each sweep in one SimContext.RunSweep, reusing
+// its expanded stream and atomic anchors. The ordering never changes the
 // collected data — runs are independent and individually deterministic.
 func PlanCampaign(pl *platform.Platform, opt *CollectOptions) ([]PlannedJob, error) {
 	if err := opt.fill(pl); err != nil {
@@ -341,21 +343,25 @@ func Collect(ctx context.Context, pl *platform.Platform, opt CollectOptions) (*R
 // Runs are independent simulations, so the campaign fans out across
 // lanes: opt.Workers of them (GOMAXPROCS by default), or ex.Lanes. A
 // local lane claims a whole workload group at a time, or a whole DVFS
-// sweep when there are fewer workloads than lanes (see claimBounds), so
-// each sweep is recorded once and replayed at its other points. An
-// executor's lanes claim single jobs: a remote run costs one request
-// whichever lane sends it, so per-job claims keep every lane busy. Each
-// lane owns every job it claims from cache lookup to its last observer
-// callback. Every run is individually deterministic, so the resulting
+// sweep when there are fewer workloads than lanes (see claimBounds), and
+// walks it sweep by sweep: a cache lookup per point, one
+// SimContext.RunSweep for the sweep's misses, then a cache store and
+// RunDone per point. Each point's simulation time is its share of the
+// sweep's, so CollectStats.SimTime still sums to the lanes' busy time. A
+// point that does not resolve fails alone, after the valid points before
+// it. An executor's lanes claim single jobs: a remote run costs one
+// request whichever lane sends it, so per-job claims keep every lane
+// busy. Each lane owns every job it claims from cache lookup to its last
+// observer callback. Every run is individually deterministic, so the resulting
 // set is identical to a sequential collection whatever the lane count
 // or executor (TestCollectDeterministicAcrossWorkerCounts asserts this
 // byte-for-byte, internal/dist's tests the distributed equivalence).
 //
 // The campaign stops early on the first run failure or when ctx is
-// cancelled: local simulations already in flight finish, executor
-// attempts in flight are cut short, and the lanes abandon the remaining
-// jobs, the rest of their claimed units included, instead of burning CPU
-// on a doomed campaign. In both cases the returned error is a
+// cancelled: local sweeps already in flight finish, executor attempts in
+// flight are cut short, and the lanes abandon the remaining jobs, the
+// rest of their claimed units included, instead of burning CPU on a
+// doomed campaign. In both cases the returned error is a
 // *CollectError carrying the completed partial results, the failed runs
 // and the skipped jobs.
 func CollectWith(ctx context.Context, pl *platform.Platform, opt CollectOptions, ex *Executor) (*RunSet, error) {
@@ -439,91 +445,46 @@ func CollectWith(ctx context.Context, pl *platform.Platform, opt CollectOptions,
 			// this worker's jobs (Reset between runs), which removes nearly
 			// all per-run allocation from the campaign.
 			var sim *platform.SimContext
-			// jobs[i:end] is what remains of the worker's claimed unit. The
-			// stop check runs before every job, not every unit, so a
-			// failure or cancellation also abandons the rest of a claimed
-			// unit; those jobs are reported skipped.
-			i, end := 0, 0
-			for {
-				if runCtx.Err() != nil {
-					return
+			simContext := func() *platform.SimContext {
+				if sim == nil {
+					sim = platform.NewSimContext(pl)
 				}
-				if i == end {
-					u := int(next.Add(1)) - 1
-					if u >= len(bounds)-1 {
-						return
-					}
-					i, end = bounds[u], bounds[u+1]
+				return sim
+			}
+			// cached looks j up in the run cache and records a hit.
+			cached := func(j PlannedJob) bool {
+				if opt.Cache == nil {
+					return false
 				}
-				j := jobs[i]
-				i++
-				if opt.Cache != nil {
-					// Span attributes are built only when tracing: evaluating
-					// them unconditionally would pay a key-format and boxing
-					// allocation per job even on untraced campaigns.
-					var sp *obs.Span
-					if ws != nil {
-						sp = ws.Child("cache-get", obs.String("key", j.Key.String()))
-					}
-					t0 := time.Now()
-					m, ok := opt.Cache.Get(j.CacheKey)
-					cacheNS.Add(int64(time.Since(t0)))
-					if sp != nil {
-						sp.Annotate(obs.Bool("hit", ok))
-						sp.End()
-					}
-					if ok {
-						hits.Add(1)
-						mu.Lock()
-						rs.Runs[j.Key] = m
-						mu.Unlock()
-						if observer != nil {
-							observer.CacheHit(j.Key)
-						}
-						continue
-					}
+				// Span attributes are built only when tracing: evaluating
+				// them unconditionally would pay a key-format and boxing
+				// allocation per job even on untraced campaigns.
+				var sp *obs.Span
+				if ws != nil {
+					sp = ws.Child("cache-get", obs.String("key", j.Key.String()))
 				}
-				if observer != nil {
-					observer.RunStart(j.Key)
-				}
-				var (
-					m       platform.Measurement
-					elapsed time.Duration
-				)
-				err := ErrRunLocally // no executor: every job runs here
-				if ex != nil {
-					m, elapsed, err = ex.Run(runCtx, w, j, ws)
-					if err != nil && runCtx.Err() != nil {
-						// The job stays unrecorded and is reported
-						// skipped, but its RunStart still ends.
-						cutShort(j.Key)
-						return
-					}
-				}
-				if errors.Is(err, ErrRunLocally) {
-					if local != nil {
-						select {
-						case local <- struct{}{}:
-						case <-runCtx.Done():
-							cutShort(j.Key)
-							return
-						}
-					}
-					if sim == nil {
-						sim = platform.NewSimContext(pl)
-					}
-					var sp *obs.Span
-					if ws != nil {
-						sp = ws.Child("simulate", obs.String("key", j.Key.String()))
-					}
-					t0 := time.Now()
-					m, err = sim.RunFidelity(j.Profile, j.Key.Cluster, j.Key.FreqMHz, opt.Fidelity, sp)
-					elapsed = time.Since(t0)
+				t0 := time.Now()
+				m, ok := opt.Cache.Get(j.CacheKey)
+				cacheNS.Add(int64(time.Since(t0)))
+				if sp != nil {
+					sp.Annotate(obs.Bool("hit", ok))
 					sp.End()
-					if local != nil {
-						<-local
+				}
+				if ok {
+					hits.Add(1)
+					mu.Lock()
+					rs.Runs[j.Key] = m
+					mu.Unlock()
+					if observer != nil {
+						observer.CacheHit(j.Key)
 					}
 				}
+				return ok
+			}
+			// done records j's outcome after its RunStart: a failure stops
+			// the campaign and reports false, a measurement is cached and
+			// stored.
+			done := func(j PlannedJob, m platform.Measurement, elapsed time.Duration, err error) bool {
 				simNS.Add(int64(elapsed))
 				if err != nil {
 					err = fmt.Errorf("core: collecting %s on %s: %w", j.Key, pl.Name(), err)
@@ -534,7 +495,7 @@ func CollectWith(ctx context.Context, pl *platform.Platform, opt CollectOptions,
 					if observer != nil {
 						observer.RunError(j.Key, err)
 					}
-					return
+					return false
 				}
 				sims.Add(1)
 				if opt.Cache != nil {
@@ -552,6 +513,140 @@ func CollectWith(ctx context.Context, pl *platform.Platform, opt CollectOptions,
 				mu.Unlock()
 				if observer != nil {
 					observer.RunDone(j.Key, m, elapsed)
+				}
+				return true
+			}
+			// runJob runs one job through the executor, or locally when the
+			// executor hands it back.
+			runJob := func(j PlannedJob) bool {
+				if cached(j) {
+					return true
+				}
+				if observer != nil {
+					observer.RunStart(j.Key)
+				}
+				m, elapsed, err := ex.Run(runCtx, w, j, ws)
+				if err != nil && runCtx.Err() != nil {
+					// The job stays unrecorded and is reported skipped,
+					// but its RunStart still ends.
+					cutShort(j.Key)
+					return false
+				}
+				if errors.Is(err, ErrRunLocally) {
+					select {
+					case local <- struct{}{}:
+					case <-runCtx.Done():
+						cutShort(j.Key)
+						return false
+					}
+					var sp *obs.Span
+					if ws != nil {
+						sp = ws.Child("simulate", obs.String("key", j.Key.String()))
+					}
+					t0 := time.Now()
+					m, err = simContext().RunFidelity(j.Profile, j.Key.Cluster, j.Key.FreqMHz, opt.Fidelity, sp)
+					elapsed = time.Since(t0)
+					sp.End()
+					<-local
+				}
+				return done(j, m, elapsed, err)
+			}
+			// runSweep runs the cache misses of one DVFS sweep in one
+			// RunSweep. Each point's simulation time is its share of the
+			// sweep's, so the shares sum to the lane's busy time.
+			var misses []PlannedJob
+			var freqs []int
+			runSweep := func(sweep []PlannedJob) bool {
+				misses, freqs = misses[:0], freqs[:0]
+				for _, j := range sweep {
+					if !cached(j) {
+						misses = append(misses, j)
+						freqs = append(freqs, j.Key.FreqMHz)
+					}
+				}
+				if len(misses) == 0 {
+					return true
+				}
+				if observer != nil {
+					for _, j := range misses {
+						observer.RunStart(j.Key)
+					}
+				}
+				var sp *obs.Span
+				if ws != nil {
+					keys := make([]string, len(misses))
+					for i, j := range misses {
+						keys[i] = j.Key.String()
+					}
+					sp = ws.Child("simulate", obs.String("key", strings.Join(keys, " ")))
+				}
+				t0 := time.Now()
+				ms, err := simContext().RunSweep(misses[0].Profile, misses[0].Key.Cluster, freqs, opt.Fidelity, sp)
+				elapsed := time.Since(t0)
+				sp.End()
+				n := len(ms)
+				if err != nil {
+					n++
+				}
+				share := func(i int) time.Duration {
+					d := elapsed / time.Duration(n)
+					if i == n-1 { // the rounding remainder
+						d = elapsed - d*time.Duration(n-1)
+					}
+					return d
+				}
+				for i, m := range ms {
+					done(misses[i], m, share(i), nil)
+				}
+				if err == nil {
+					return true
+				}
+				// The point that did not resolve fails alone, unless the
+				// campaign stopped first: per-point collection would not
+				// have reached it either, so it is cut short like the
+				// points after it.
+				rest := misses[len(ms):]
+				if runCtx.Err() == nil {
+					done(rest[0], platform.Measurement{}, share(n-1), err)
+					rest = rest[1:]
+				}
+				for _, j := range rest {
+					cutShort(j.Key)
+				}
+				return false
+			}
+			// jobs[i:end] is what remains of the worker's claimed unit. The
+			// stop check runs before every sweep, or every job on an
+			// executor lane, not every unit, so a failure or cancellation
+			// also abandons the rest of a claimed unit; those jobs are
+			// reported skipped.
+			i, end := 0, 0
+			for {
+				if runCtx.Err() != nil {
+					return
+				}
+				if i == end {
+					u := int(next.Add(1)) - 1
+					if u >= len(bounds)-1 {
+						return
+					}
+					i, end = bounds[u], bounds[u+1]
+				}
+				if ex != nil {
+					i++
+					if !runJob(jobs[i-1]) {
+						return
+					}
+					continue
+				}
+				k := i + 1
+				for k < end && sameSweep(jobs[k-1].Key, jobs[k].Key) {
+					k++
+				}
+				sweep := jobs[i:k]
+				i = k
+				if !runSweep(sweep) {
+					return
 				}
 			}
 		}(w)
@@ -606,10 +701,9 @@ func CollectWith(ctx context.Context, pl *platform.Platform, opt CollectOptions,
 // whole, returning each unit's first job index followed by len(jobs). The
 // unit is a workload group — the consecutive jobs of one workload across
 // all its clusters and frequencies — so one worker's SimContext expands
-// each workload once, records each DVFS sweep's trace once and replays it
-// at the sweep's other points, and derives each atomic sweep's anchors
-// once. A campaign with fewer workloads than workers falls back to
-// (workload, cluster) sweeps so it still spreads across the workers.
+// each workload once and runs each of its DVFS sweeps in one pass. A
+// campaign with fewer workloads than workers falls back to (workload,
+// cluster) sweeps so it still spreads across the workers.
 func claimBounds(jobs []PlannedJob, workers int) []int {
 	split := func(same func(a, b RunKey) bool) []int {
 		var bounds []int
@@ -622,10 +716,14 @@ func claimBounds(jobs []PlannedJob, workers int) []int {
 	}
 	bounds := split(func(a, b RunKey) bool { return a.Workload == b.Workload })
 	if len(bounds)-1 < workers {
-		bounds = split(func(a, b RunKey) bool { return a.Workload == b.Workload && a.Cluster == b.Cluster })
+		bounds = split(sameSweep)
 	}
 	return bounds
 }
+
+// sameSweep reports whether two points belong to one (workload, cluster)
+// DVFS sweep.
+func sameSweep(a, b RunKey) bool { return a.Workload == b.Workload && a.Cluster == b.Cluster }
 
 // Gem5Stats returns the gem5 statistics map of one model run — Experiment
 // 2's stats.txt for that run.

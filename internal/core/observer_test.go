@@ -195,10 +195,19 @@ func TestRegistryObserver(t *testing.T) {
 
 // TestCollectTracing runs a cached campaign under a tracer and asserts
 // the span structure: campaign root with plan child, per-worker roots,
-// simulate spans wrapping the platform phases, and cache get/put spans.
+// per-point cache get/put spans, and one simulate span per DVFS sweep,
+// listing its points, that wraps the platform phases: expand and pipeline
+// once, collate (and, on a sensored platform, power) per point.
 func TestCollectTracing(t *testing.T) {
+	// Four workloads, each a two-point sweep: 8 jobs in 4 sweeps.
+	sweeps := func() CollectOptions {
+		opt := smallCampaign()
+		opt.Workloads = opt.Workloads[:4]
+		opt.Freqs = map[string][]int{hw.ClusterA15: {600, 1000}}
+		return opt
+	}
 	tr := obs.NewTracer()
-	opt := smallCampaign()
+	opt := sweeps()
 	opt.Cache = NewMemoryCache(0)
 	opt.Tracer = tr
 	opt.Workers = 2
@@ -209,6 +218,18 @@ func TestCollectTracing(t *testing.T) {
 	counts := map[string]int{}
 	for _, ev := range tr.Events() {
 		counts[ev.Name]++
+		if ev.Name != "simulate" {
+			continue
+		}
+		for _, a := range ev.Attrs {
+			if a.Key != "key" {
+				continue
+			}
+			points := strings.Fields(a.Value.(string))
+			if len(points) != 2 || !strings.HasSuffix(points[0], "@600MHz") || !strings.HasSuffix(points[1], "@1000MHz") {
+				t.Fatalf("simulate span lists points %q, want one sweep at 600 and 1000 MHz", points)
+			}
+		}
 	}
 	if counts["collect"] != 1 || counts["plan"] != 1 {
 		t.Fatalf("campaign spans: %v", counts)
@@ -216,11 +237,11 @@ func TestCollectTracing(t *testing.T) {
 	if counts["worker"] != 2 {
 		t.Fatalf("worker spans = %d, want 2", counts["worker"])
 	}
-	if counts["simulate"] != 8 || counts["cache-get"] != 8 || counts["cache-put"] != 8 {
-		t.Fatalf("per-job spans: %v", counts)
+	if counts["simulate"] != 4 || counts["cache-get"] != 8 || counts["cache-put"] != 8 {
+		t.Fatalf("per-sweep and per-job spans: %v", counts)
 	}
 	// The simulator phases nest under each simulate span.
-	if counts["expand"] != 8 || counts["pipeline"] != 8 || counts["collate"] != 8 {
+	if counts["expand"] != 4 || counts["pipeline"] != 4 || counts["collate"] != 8 {
 		t.Fatalf("platform phase spans: %v", counts)
 	}
 	// gem5 platforms have no sensors: no power phase.
@@ -228,9 +249,9 @@ func TestCollectTracing(t *testing.T) {
 		t.Fatalf("power spans on an unsensored platform: %v", counts)
 	}
 
-	// A sensored platform records the power phase too.
+	// A sensored platform records the power phase too, once per point.
 	tr2 := obs.NewTracer()
-	opt2 := smallCampaign()
+	opt2 := sweeps()
 	opt2.Tracer = tr2
 	if _, err := Collect(context.Background(), hw.Platform(), opt2); err != nil {
 		t.Fatal(err)
@@ -239,8 +260,8 @@ func TestCollectTracing(t *testing.T) {
 	for _, ev := range tr2.Events() {
 		counts2[ev.Name]++
 	}
-	if counts2["power"] != 8 {
-		t.Fatalf("power spans = %d, want 8", counts2["power"])
+	if counts2["power"] != 8 || counts2["simulate"] != 4 {
+		t.Fatalf("power spans = %d and simulate spans = %d, want 8 and 4", counts2["power"], counts2["simulate"])
 	}
 	if counts2["cache-get"] != 0 {
 		t.Fatalf("cache spans without a cache: %v", counts2)

@@ -1,22 +1,19 @@
 package mem
 
-// DVFS-sweep replay.
+// DVFS-trace replay.
 //
-// A characterisation campaign simulates the same workload on the same
-// cluster at every DVFS operating point. The memory-system event stream is
-// frequency-invariant: which lookups hit, which DRAM rows open, which lines
-// write back depends only on the instruction stream's addresses, never on
-// how many cycles an access took. The only frequency-dependent quantities
-// the hierarchy produces are the two integer DRAM latencies precomputed by
-// SetFrequencyGHz, so every latency the pipeline observes decomposes as
+// The memory-system event stream is frequency-invariant: which lookups
+// hit, which DRAM rows open, which lines write back depends only on the
+// instruction stream's addresses, never on how many cycles an access took.
+// Every access therefore returns a Latency decomposition that holds at
+// every frequency. A whole DVFS sweep simulated in one pass evaluates each
+// decomposition at every clock as it goes (see pipeline.Core.RunSweep);
+// runs of one sweep that arrive one at a time (the distributed workers'
+// jobs) reuse the memory work through this trace instead.
 //
-//	fixed + rowHits*dramHitCycles + rowMisses*dramMissCycles
-//
-// with fixed, rowHits and rowMisses identical at every frequency.
-//
-// DVFSTrace records that decomposition — one packed uint32 per
-// pipeline-level access (FetchAccess/LoadAccess/StoreAccess) — plus a
-// snapshot of every statistics block at end of run. Replaying the trace at
+// DVFSTrace records the decompositions — one packed uint32 per
+// pipeline-level access (Fetch/Load/Store) — plus a snapshot of every
+// statistics block at end of run. Replaying the trace at
 // another operating point reproduces, bit for bit, the latencies and
 // statistics a full simulation at that frequency would produce, while
 // skipping all cache, TLB and DRAM work. The exclusive monitor stays live
@@ -143,27 +140,23 @@ func (h *Hierarchy) EndTraceReplay() {
 	h.traceMode = traceOff
 }
 
-// recordEntry appends the decomposition of one pipeline-level access whose
-// total latency was lat and whose DRAM row hit/miss counts are in
-// h.recHits/h.recMisses.
-func (h *Hierarchy) recordEntry(lat int) {
-	fixed := lat - h.recHits*h.dramHitCycles - h.recMisses*h.dramMissCycles
-	if uint(fixed) > traceFixedMask || h.recHits > traceCountLimit || h.recMisses > traceCountLimit {
+// recordEntry appends the decomposition of one pipeline-level access.
+func (h *Hierarchy) recordEntry(lat Latency) {
+	fixed, hits, misses := uint64(uint32(lat)), uint64(lat>>latHitShift), uint64(lat>>latMissShift&latCountMask)
+	if fixed > traceFixedMask || hits > traceCountLimit || misses > traceCountLimit {
 		h.abortRecord()
 		return
 	}
-	h.trace.entries = append(h.trace.entries,
-		uint32(fixed)|uint32(h.recMisses)<<traceMissShift|uint32(h.recHits)<<traceHitShift)
+	h.trace.entries = append(h.trace.entries, uint32(fixed|misses<<traceMissShift|hits<<traceHitShift))
 }
 
-// replayLat pops the next recorded access and rebuilds its latency with
-// the current frequency's DRAM cycle table.
-func (h *Hierarchy) replayLat() int {
+// replayNext pops the next recorded access's decomposition.
+func (h *Hierarchy) replayNext() Latency {
 	e := h.trace.entries[h.tracePos]
 	h.tracePos++
-	return int(e&traceFixedMask) +
-		int(e>>traceHitShift)*h.dramHitCycles +
-		int(e>>traceMissShift&traceCountLimit)*h.dramMissCycles
+	return Latency(e&traceFixedMask) +
+		Latency(e>>traceHitShift)*latDRAMHit +
+		Latency(e>>traceMissShift&traceCountLimit)*latDRAMMiss
 }
 
 // Len returns the number of recorded accesses.

@@ -38,7 +38,7 @@ func driveHier(h *Hierarchy) []int {
 			}
 		case rng.Bool(0.05):
 			addr := uint64(rng.Intn(1 << 20))
-			out = append(out, h.LoadExclusive(addr))
+			out = append(out, h.LoadExclusive(addr).Cycles(h.Clock()))
 			if rng.Bool(0.3) {
 				h.InjectSnoop(addr) // clears the monitor: strex must fail
 			}
@@ -47,7 +47,7 @@ func driveHier(h *Hierarchy) []int {
 			if ok {
 				flag = 1
 			}
-			out = append(out, lat, flag)
+			out = append(out, lat.Cycles(h.Clock()), flag)
 		case rng.Bool(0.02):
 			h.Barrier()
 		case rng.Bool(0.02):

@@ -84,9 +84,45 @@ type HierarchyStats struct {
 	BusAccesses     uint64 // L2<->DRAM transfers (reads + writebacks)
 }
 
+// Latency is the latency of one pipeline-level access, decomposed into the
+// parts that do and do not depend on the core clock:
+//
+//	fixed + rowHits*clock.Hit + rowMisses*clock.Miss
+//
+// fixed counts cache, TLB and walker cycles; rowHits and rowMisses count
+// the DRAM accesses on the access's critical path, whose cycle cost is the
+// only frequency-dependent quantity the hierarchy produces (see Clock).
+// Which lookups hit, which DRAM rows open and which lines write back
+// depend only on addresses, so one access path serves every operating
+// point: a caller evaluates the same Latency at as many clocks as it
+// likes. The three fields pack into one word (fixed in the low 32 bits,
+// misses in bits 32..47, hits in bits 48..63), so composing latencies is
+// one integer add.
+type Latency uint64
+
+const (
+	latMissShift = 32
+	latHitShift  = 48
+	latCountMask = 0xFFFF
+
+	latDRAMMiss Latency = 1 << latMissShift
+	latDRAMHit  Latency = 1 << latHitShift
+)
+
+// Cycles evaluates the latency at clock c.
+func (l Latency) Cycles(c Clock) int {
+	return int(uint32(l)) + int(l>>latHitShift)*c.Hit + int(l>>latMissShift&latCountMask)*c.Miss
+}
+
+// Clock is the core-cycle cost of one DRAM access at one core frequency:
+// every DRAM access the hierarchy issues is one L2-line transfer, so the
+// only two latencies are a row hit and a row miss.
+type Clock struct{ Hit, Miss int }
+
 // Hierarchy composes the full memory system for one simulated core plus its
-// cluster-shared L2 and DRAM. It converts DRAM nanoseconds into core cycles
-// at the currently configured frequency.
+// cluster-shared L2 and DRAM. Its access path returns Latency
+// decompositions; the int-returning entry points evaluate them at the
+// currently configured frequency.
 type Hierarchy struct {
 	cfg HierarchyConfig
 
@@ -101,15 +137,15 @@ type Hierarchy struct {
 	freqGHz float64
 
 	// Hot-path invariants hoisted out of the per-access loops: hit
-	// latencies and line geometry are configuration constants, and the
-	// two possible DRAM latencies (row hit / row miss, always one L2-line
-	// transfer) are precomputed as integer cycles by SetFrequencyGHz so
-	// no float math survives on the access path.
-	l1iLat, l1dLat, l2Lat         int
-	l1dLine                       uint64
-	l1dWriteAlloc                 bool
-	walkLat, walkAccesses         int
-	dramHitCycles, dramMissCycles int
+	// latencies and line geometry are configuration constants.
+	l1iLat, l1dLat, l2Lat Latency
+	l1dLine               uint64
+	l1dWriteAlloc         bool
+	walkLat               Latency
+	walkAccesses          int
+	// clock is the DRAM cycle pair at freqGHz, which the int-returning
+	// entry points evaluate latencies with.
+	clock Clock
 
 	// Streaming-store detector: a small write-combining buffer tracking
 	// several independent store streams (real merging write buffers have
@@ -122,13 +158,11 @@ type Hierarchy struct {
 	monitorValid bool
 	monitorAddr  uint64
 
-	// DVFS trace state (see dvfstrace.go): mode, the armed trace, the
-	// replay cursor, and the per-access DRAM row hit/miss counters the
-	// recorder decomposes latencies with.
-	traceMode          int
-	trace              *DVFSTrace
-	tracePos           int
-	recHits, recMisses int
+	// DVFS trace state (see dvfstrace.go): mode, the armed trace and the
+	// replay cursor.
+	traceMode int
+	trace     *DVFSTrace
+	tracePos  int
 
 	// page-table region base for synthetic walk addresses
 	ptBase uint64
@@ -157,12 +191,12 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		h.L2TLBI = NewTLB(cfg.L2TLBI)
 		h.L2TLBD = NewTLB(cfg.L2TLBD)
 	}
-	h.l1iLat = cfg.L1I.LatencyCycles
-	h.l1dLat = cfg.L1D.LatencyCycles
-	h.l2Lat = cfg.L2.LatencyCycles
+	h.l1iLat = Latency(cfg.L1I.LatencyCycles)
+	h.l1dLat = Latency(cfg.L1D.LatencyCycles)
+	h.l2Lat = Latency(cfg.L2.LatencyCycles)
 	h.l1dLine = uint64(cfg.L1D.LineBytes)
 	h.l1dWriteAlloc = cfg.L1D.WriteAllocate
-	h.walkLat = cfg.WalkLatencyCycles
+	h.walkLat = Latency(cfg.WalkLatencyCycles)
 	h.walkAccesses = cfg.WalkMemAccesses
 	h.SetFrequencyGHz(1.0)
 	return h
@@ -198,28 +232,39 @@ func (h *Hierarchy) Reset() {
 // Config returns the hierarchy configuration.
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
-// SetFrequencyGHz sets the core clock used to convert DRAM ns to cycles
-// and precomputes the integer DRAM latency table for that clock. Every
-// DRAM access the hierarchy issues is one L2-line transfer, so the only
-// two latencies are row hit and row miss; computing ceil(ns*GHz) here,
-// with the same float expression the per-access path used, keeps cycle
-// counts bit-identical while removing all float math from the hot loop.
-func (h *Hierarchy) SetFrequencyGHz(ghz float64) {
+// ClockAt returns the DRAM cycle pair at a core clock of ghz: the row-hit
+// and row-miss times plus one L2-line transfer, in nanoseconds, rounded up
+// to whole cycles. Computing it once per clock keeps float math off the
+// access path.
+func (h *Hierarchy) ClockAt(ghz float64) Clock {
 	if ghz <= 0 {
 		panic("mem: non-positive frequency")
 	}
-	h.freqGHz = ghz
 	transfer := float64(h.L2.LineBytes()) / h.cfg.DRAM.BandwidthBytesPerNs
-	h.dramHitCycles = int(math.Ceil((h.cfg.DRAM.RowHitNs + transfer) * ghz))
-	h.dramMissCycles = int(math.Ceil((h.cfg.DRAM.RowMissNs + transfer) * ghz))
+	return Clock{
+		Hit:  int(math.Ceil((h.cfg.DRAM.RowHitNs + transfer) * ghz)),
+		Miss: int(math.Ceil((h.cfg.DRAM.RowMissNs + transfer) * ghz)),
+	}
+}
+
+// SetFrequencyGHz sets the core clock the int-returning entry points
+// evaluate latencies at.
+func (h *Hierarchy) SetFrequencyGHz(ghz float64) {
+	h.clock = h.ClockAt(ghz)
+	h.freqGHz = ghz
 }
 
 // FrequencyGHz returns the current core clock.
 func (h *Hierarchy) FrequencyGHz() float64 { return h.freqGHz }
 
+// Clock returns the DRAM cycle pair at the current core clock.
+func (h *Hierarchy) Clock() Clock { return h.clock }
+
 // l2Fill performs an L2 lookup for a line fill on behalf of an L1 miss and
-// returns the added latency in cycles beyond the L1 hit latency.
-func (h *Hierarchy) l2Fill(addr uint64, write bool) int {
+// returns the added latency beyond the L1 hit latency. Callers filling off
+// the critical path (prefetches, the second line of an unaligned store)
+// discard it.
+func (h *Hierarchy) l2Fill(addr uint64, write bool) Latency {
 	res := h.L2.Access(addr, write)
 	lat := h.l2Lat
 	if res.Writeback {
@@ -230,11 +275,9 @@ func (h *Hierarchy) l2Fill(addr uint64, write bool) int {
 	if !res.Hit {
 		h.Stats.BusAccesses++
 		if h.DRAM.AccessRowHit(addr, write) {
-			lat += h.dramHitCycles
-			h.recHits++
+			lat += latDRAMHit
 		} else {
-			lat += h.dramMissCycles
-			h.recMisses++
+			lat += latDRAMMiss
 		}
 	}
 	for _, pa := range res.PrefetchAddrs {
@@ -249,25 +292,14 @@ func (h *Hierarchy) l2Fill(addr uint64, write bool) int {
 	return lat
 }
 
-// l2FillOffPath is l2Fill for fills whose latency the caller discards
-// (prefetch fills, the second line of an unaligned store): the DRAM row
-// hit/miss counters only ever track latency-contributing accesses — the
-// DVFS-trace recorder decomposes each returned latency with them — so they
-// are restored around the call.
-func (h *Hierarchy) l2FillOffPath(addr uint64) {
-	hits, misses := h.recHits, h.recMisses
-	h.l2Fill(addr, false)
-	h.recHits, h.recMisses = hits, misses
-}
-
 // translate performs a TLB lookup on the given side and returns the added
-// latency in cycles. L1 TLB lookups are free (folded into the cache
-// pipeline); L2 TLB hits charge the L2 TLB latency; misses charge a walk.
-func (h *Hierarchy) translate(addr uint64, l1 *TLB, l2 *TLB, walks *uint64) int {
+// latency. L1 TLB lookups are free (folded into the cache pipeline); L2
+// TLB hits charge the L2 TLB latency; misses charge a walk.
+func (h *Hierarchy) translate(addr uint64, l1 *TLB, l2 *TLB, walks *uint64) Latency {
 	if l1.Lookup(addr) {
 		return 0
 	}
-	lat := l2.LatencyCycles()
+	lat := Latency(l2.LatencyCycles())
 	if l2.Lookup(addr) {
 		l1.Refill(addr)
 		return lat
@@ -285,24 +317,23 @@ func (h *Hierarchy) translate(addr uint64, l1 *TLB, l2 *TLB, walks *uint64) int 
 	return lat
 }
 
-// FetchAccess charges one instruction-side access for the line containing
-// pc and returns its latency in cycles (L1I hit latency included).
-func (h *Hierarchy) FetchAccess(pc uint64) int {
-	if h.traceMode != traceOff {
-		if h.traceMode == traceReplay {
-			return h.replayLat()
-		}
-		h.recHits, h.recMisses = 0, 0
-		lat := h.fetchAccess(pc)
-		if h.traceMode == traceRecord { // recording may have aborted mid-call
-			h.recordEntry(lat)
-		}
-		return lat
+// Fetch charges one instruction-side access for the line containing pc
+// and returns its latency (L1I hit latency included).
+func (h *Hierarchy) Fetch(pc uint64) Latency {
+	if h.traceMode == traceReplay {
+		return h.replayNext()
 	}
-	return h.fetchAccess(pc)
+	lat := h.fetchAccess(pc)
+	if h.traceMode == traceRecord {
+		h.recordEntry(lat)
+	}
+	return lat
 }
 
-func (h *Hierarchy) fetchAccess(pc uint64) int {
+// FetchAccess is Fetch evaluated at the current clock, in cycles.
+func (h *Hierarchy) FetchAccess(pc uint64) int { return h.Fetch(pc).Cycles(h.clock) }
+
+func (h *Hierarchy) fetchAccess(pc uint64) Latency {
 	// Sequential fetch repeats the previous page and usually the previous
 	// line; both memo checks inline, so the common case does no calls
 	// beyond this one.
@@ -321,30 +352,31 @@ func (h *Hierarchy) fetchAccess(pc uint64) int {
 	for _, pa := range res.PrefetchAddrs {
 		// L1I lines are never dirty, so the victim writeback is ignored.
 		h.L1I.prefetchAbsent(pa)
-		h.l2FillOffPath(pa)
+		h.l2Fill(pa, false)
 	}
 	return lat
 }
 
-// LoadAccess charges one data load and returns its latency in cycles.
-// Loads do not disturb the streaming-store detector: a merging write
-// buffer coalesces store runs regardless of interleaved reads.
-func (h *Hierarchy) LoadAccess(addr uint64, unaligned bool) int {
-	if h.traceMode != traceOff {
-		if h.traceMode == traceReplay {
-			return h.replayLat()
-		}
-		h.recHits, h.recMisses = 0, 0
-		lat := h.loadAccess(addr, unaligned)
-		if h.traceMode == traceRecord {
-			h.recordEntry(lat)
-		}
-		return lat
+// Load charges one data load and returns its latency. Loads do not
+// disturb the streaming-store detector: a merging write buffer coalesces
+// store runs regardless of interleaved reads.
+func (h *Hierarchy) Load(addr uint64, unaligned bool) Latency {
+	if h.traceMode == traceReplay {
+		return h.replayNext()
 	}
-	return h.loadAccess(addr, unaligned)
+	lat := h.loadAccess(addr, unaligned)
+	if h.traceMode == traceRecord {
+		h.recordEntry(lat)
+	}
+	return lat
 }
 
-func (h *Hierarchy) loadAccess(addr uint64, unaligned bool) int {
+// LoadAccess is Load evaluated at the current clock, in cycles.
+func (h *Hierarchy) LoadAccess(addr uint64, unaligned bool) int {
+	return h.Load(addr, unaligned).Cycles(h.clock)
+}
+
+func (h *Hierarchy) loadAccess(addr uint64, unaligned bool) Latency {
 	lat := h.l1dLat
 	if !h.DTLB.lookupLast(addr >> PageShift) {
 		lat += h.translate(addr, h.DTLB, h.L2TLBD, &h.Stats.DTLBWalks)
@@ -360,7 +392,7 @@ func (h *Hierarchy) loadAccess(addr uint64, unaligned bool) int {
 			if wb {
 				h.l2WriteBack(wbAddr)
 			}
-			h.l2FillOffPath(pa)
+			h.l2Fill(pa, false)
 		}
 	}
 	if unaligned {
@@ -425,25 +457,26 @@ func (h *Hierarchy) noteStore(addr uint64, size int) bool {
 	return false
 }
 
-// StoreAccess charges one data store and returns its visible latency in
-// cycles (usually small: stores retire through the store buffer).
-func (h *Hierarchy) StoreAccess(addr uint64, size int, unaligned bool) int {
-	if h.traceMode != traceOff {
-		if h.traceMode == traceReplay {
-			return h.replayLat()
-		}
-		h.recHits, h.recMisses = 0, 0
-		lat := h.storeAccess(addr, size, unaligned)
-		if h.traceMode == traceRecord {
-			h.recordEntry(lat)
-		}
-		return lat
+// Store charges one data store and returns its visible latency (usually
+// small: stores retire through the store buffer).
+func (h *Hierarchy) Store(addr uint64, size int, unaligned bool) Latency {
+	if h.traceMode == traceReplay {
+		return h.replayNext()
 	}
-	return h.storeAccess(addr, size, unaligned)
+	lat := h.storeAccess(addr, size, unaligned)
+	if h.traceMode == traceRecord {
+		h.recordEntry(lat)
+	}
+	return lat
 }
 
-func (h *Hierarchy) storeAccess(addr uint64, size int, unaligned bool) int {
-	lat := 0
+// StoreAccess is Store evaluated at the current clock, in cycles.
+func (h *Hierarchy) StoreAccess(addr uint64, size int, unaligned bool) int {
+	return h.Store(addr, size, unaligned).Cycles(h.clock)
+}
+
+func (h *Hierarchy) storeAccess(addr uint64, size int, unaligned bool) Latency {
+	lat := Latency(0)
 	if !h.DTLB.lookupLast(addr >> PageShift) {
 		lat = h.translate(addr, h.DTLB, h.L2TLBD, &h.Stats.DTLBWalks)
 	}
@@ -489,7 +522,7 @@ func (h *Hierarchy) storeAccess(addr uint64, size int, unaligned bool) int {
 			h.l2WriteBack(res2.WritebackAddr)
 		}
 		if !res2.Hit && h.l1dWriteAlloc {
-			h.l2FillOffPath(addr + h.l1dLine)
+			h.l2Fill(addr+h.l1dLine, false)
 		}
 	}
 	return lat
@@ -497,17 +530,17 @@ func (h *Hierarchy) storeAccess(addr uint64, size int, unaligned bool) int {
 
 // LoadExclusive performs a load-exclusive: a normal load that also arms the
 // local exclusive monitor.
-func (h *Hierarchy) LoadExclusive(addr uint64) int {
+func (h *Hierarchy) LoadExclusive(addr uint64) Latency {
 	h.Stats.ExclusiveLoads++
 	h.monitorValid = true
 	h.monitorAddr = addr &^ (h.l1dLine - 1)
-	return h.LoadAccess(addr, false)
+	return h.Load(addr, false)
 }
 
 // StoreExclusive performs a store-exclusive. It succeeds if the monitor is
 // still armed for addr's line; contention (snoops) clears the monitor.
 // It returns the latency and whether the store succeeded.
-func (h *Hierarchy) StoreExclusive(addr uint64) (int, bool) {
+func (h *Hierarchy) StoreExclusive(addr uint64) (Latency, bool) {
 	h.Stats.ExclusiveStores++
 	line := addr &^ (h.l1dLine - 1)
 	ok := h.monitorValid && h.monitorAddr == line
@@ -517,7 +550,7 @@ func (h *Hierarchy) StoreExclusive(addr uint64) (int, bool) {
 		return h.l1dLat, false
 	}
 	h.Stats.ExclusivePasses++
-	return h.StoreAccess(addr, 4, false), true
+	return h.Store(addr, 4, false), true
 }
 
 // Barrier records a memory barrier. The timing cost is charged by the

@@ -1,9 +1,8 @@
 package pipeline
 
 import (
-	"math/bits"
-
 	"gemstone/internal/isa"
+	"gemstone/internal/mem"
 )
 
 // storeBuffer models a small ring of store-buffer slots: a store occupies a
@@ -45,194 +44,142 @@ func (sb *storeBuffer) push(start uint64, drainLat int) uint64 {
 
 const inOrderStoreBufferSlots = 4
 
-// runInOrder is the stall-on-use in-order model (Cortex-A7 class).
-//
-// Instructions arrive in blocks (see blockSource): the loop walks a slice
-// instead of paying an interface call per instruction, with the scalar
-// Next path kept as a contract-equivalent fallback.
-func (c *Core) runInOrder(stream isa.Stream) Tally {
-	var t Tally
-	// Sized 256 for bounds-check-free indexing by uint8 fields; see
-	// runOutOfOrder.
-	var regReady [256]uint64
-	var opCounts [256]uint64
+// inOrderLane is one operating point's timing state in the stall-on-use
+// in-order model (Cortex-A7 class).
+type inOrderLane struct {
+	clk mem.Clock
+	// regReady is sized 256 for bounds-check-free indexing by the uint8
+	// register fields.
+	regReady     [256]uint64
+	cycle        uint64 // earliest cycle the next instruction may issue
+	slots        int    // instructions already issued this cycle
+	fetchReady   uint64
+	lastComplete uint64
+	sb           storeBuffer
+	t            Tally // stall counters
+}
 
-	cycle := uint64(0) // earliest cycle the next instruction may issue
-	slots := 0         // instructions already issued this cycle
-	fetchReady := uint64(0)
-	lastComplete := uint64(0)
-	sb := &c.sb
-	sb.reset(inOrderStoreBufferSlots)
+func (l *inOrderLane) reset(clk mem.Clock) {
+	l.clk = clk
+	clear(l.regReady[:])
+	l.cycle, l.slots, l.fetchReady, l.lastComplete = 0, 0, 0, 0
+	l.sb.reset(inOrderStoreBufferSlots)
+	l.t = Tally{}
+}
 
-	// Invariant configuration hoisted out of the loop; see runOutOfOrder
-	// for the fetch-group shift.
-	fetchBytes := uint64(c.cfg.FetchWidth) * 4
-	fetchPow2 := fetchBytes&(fetchBytes-1) == 0
-	fetchShift := uint(bits.TrailingZeros64(fetchBytes))
-	curGroup := ^uint64(0)
+// inOrderBlock is phase B of the in-order model for one block: it times
+// the block's events on lane l. The lane's scalars live in locals for the
+// block, so the loop runs on registers, and the common path is written
+// with max and conditional moves rather than branches: the outcome of each
+// test varies from instruction to instruction, and a mispredicted host
+// branch costs more than the arithmetic it skips.
+func (c *Core) inOrderBlock(l *inOrderLane, ev []event) {
+	clk := l.clk
+	regReady := &l.regReady
+	sb := &l.sb
+	cycle, slots, fetchReady, lastComplete := l.cycle, l.slots, l.fetchReady, l.lastComplete
+	var fetchStall, depStall, memStall, branchStall, barrierStall uint64
+
 	baseFetchLat := c.Hier.L1I.LatencyCycles()
-	fetchPerInst := c.cfg.FetchPerInstruction
 	issueWidth := c.cfg.IssueWidth
 	redirectPenalty := uint64(c.cfg.FrontendDepth + c.cfg.MispredictPenalty)
 	strexRetry := uint64(c.cfg.StrexRetryCycles)
-	var latTab [256]uint64
-	for op, l := range c.cfg.Lat {
-		latTab[op] = uint64(l)
-	}
+	latTab := &c.latTab
 
-	src := newBlockSource(stream)
-	for {
-		blk := src.next(c)
-		if len(blk) == 0 {
-			break
+	for _, e := range ev {
+		flags := e.flags
+
+		// Frontend: a fetch-group miss beyond the pipelined hit latency
+		// stalls delivery. An instruction that opens no group has a zero
+		// fetch latency, so it adds nothing; and since cycle never falls,
+		// raising fetchReady to cycle changes no later stall. That makes
+		// fetchReady the issue cycle before operands are considered.
+		extra := max(e.fetch.Cycles(clk)-baseFetchLat, 0)
+		fetchReady = max(fetchReady, cycle+uint64(extra))
+		fetchStall += fetchReady - cycle
+
+		// Issue: stall-on-use semantics. The operands' maximum does not
+		// depend on the issue chain, so it is taken first.
+		start := max(fetchReady, max(regReady[e.src1], regReady[e.src2]))
+		depStall += start - fetchReady
+		if start > cycle {
+			slots = 0
 		}
-		for bi := range blk {
-			in := &blk[bi]
+		cycle = start
 
-			// Frontend: one I-side access per fetch group; under the gem5
-			// defect the lookup repeats per instruction, inflating access
-			// counts without affecting timing (the repeats hit the same line).
-			group := in.PC >> fetchShift
-			if !fetchPow2 {
-				group = in.PC / fetchBytes
-			}
-			if group != curGroup {
-				curGroup = group
-				t.FetchAccesses++
-				lat := c.Hier.FetchAccess(in.PC)
-				if extra := lat - baseFetchLat; extra > 0 {
-					// Miss beyond the pipelined hit latency stalls delivery.
-					nr := cycle + uint64(extra)
-					if nr > fetchReady {
-						fetchReady = nr
-					}
-				}
-			} else if fetchPerInst {
-				t.FetchAccesses++
-				c.Hier.FetchAccess(in.PC)
-			}
-
-			// Issue: stall-on-use semantics.
-			start := cycle
-			if fetchReady > start {
-				t.FetchStallCycles += fetchReady - start
-				start = fetchReady
-			}
-			if r := regReady[in.Src1]; r > start {
-				t.DepStallCycles += r - start
-				start = r
-			}
-			if r := regReady[in.Src2]; r > start {
-				t.DepStallCycles += r - start
-				start = r
-			}
-			if start > cycle {
-				cycle = start
-				slots = 0
-			}
-
-			// Execute.
-			lat := latTab[in.Op]
-			complete := start + lat
-			switch in.Op {
-			case isa.OpLoad:
-				// The dataAccess arms are unrolled into the switch: one
-				// dispatch per memory instruction instead of two. The L1D hit
-				// latency is part of the load-use latency; misses extend it.
-				c.maybeSnoop(in.Addr)
-				dlat := c.Hier.LoadAccess(in.Addr, in.Unaligned)
-				complete = start + lat + uint64(dlat)
-			case isa.OpLoadEx:
-				dlat := c.Hier.LoadExclusive(in.Addr)
-				complete = start + lat + uint64(dlat)
-			case isa.OpStore:
-				c.maybeSnoop(in.Addr)
-				dlat := c.Hier.StoreAccess(in.Addr, int(in.Size), in.Unaligned)
-				st := sb.push(start, dlat)
+		// Execute. A load's data latency extends its load-use latency.
+		lat := latTab[e.op]
+		complete := start + lat + uint64(e.data.Cycles(clk))*uint64(flags>>evLoadBit&1)
+		// A correctly predicted taken branch costs a fetch bubble.
+		if flags&evTakenCut != 0 {
+			slots = 0
+		}
+		cycle += uint64(flags >> evTakenCutBit & 1)
+		if flags&(evStore|evBarrier|evMispredict) != 0 {
+			switch {
+			case flags&evStore != 0:
+				st := sb.push(start, e.data.Cycles(clk))
 				if st > start {
-					t.MemStallCycles += st - start
+					memStall += st - start
 					cycle = st
 					slots = 0
 					complete = st + lat
 				}
-			case isa.OpStoreEx:
-				dlat, failed := c.dataAccess(in)
-				st := sb.push(start, dlat)
-				if st > start {
-					t.MemStallCycles += st - start
-					cycle = st
-					slots = 0
-					complete = st + lat
-				}
-				if failed { // store-exclusive retry
-					t.StrexRetries++
+				if flags&evStrexFail != 0 { // store-exclusive retry
 					cycle = complete + strexRetry
 					slots = 0
 				}
-			case isa.OpBarrier:
-				c.Hier.Barrier()
-				wait := c.barrierWait()
-				drainTo := max(cycle, lastComplete) + wait
-				t.BarrierStallCycles += drainTo - cycle
+			case flags&evBarrier != 0:
+				drainTo := max(cycle, lastComplete) + uint64(e.data)
+				barrierStall += drainTo - cycle
 				cycle = drainTo
 				slots = 0
 				complete = cycle
-			case isa.OpBranch, isa.OpCall, isa.OpReturn, isa.OpBranchInd:
-				correct := c.predict(in)
-				if !correct {
-					redirect := complete + redirectPenalty
-					t.BranchStallCycles += redirect - cycle
-					cycle = redirect
-					slots = 0
-					fetchReady = cycle
-					c.chargeWrongPath(&t, in)
-					curGroup = ^uint64(0)
-				} else if in.Taken {
-					// Taken-branch fetch bubble.
-					cycle++
-					slots = 0
-					curGroup = ^uint64(0)
-				}
-			}
-
-			if complete > lastComplete {
-				lastComplete = complete
-			}
-			if writesDst[in.Op] {
-				regReady[in.Dst] = complete
-			}
-
-			t.Committed++
-			opCounts[in.Op]++
-
-			slots++
-			if slots >= issueWidth {
-				cycle++
+			default: // evMispredict
+				redirect := complete + redirectPenalty
+				branchStall += redirect - cycle
+				cycle = redirect
 				slots = 0
+				fetchReady = cycle
 			}
+		}
+
+		lastComplete = max(lastComplete, complete)
+		// An op without a destination writes its register's old value
+		// back.
+		v := regReady[e.dst]
+		if writesDst[e.op] {
+			v = complete
+		}
+		regReady[e.dst] = v
+
+		slots++
+		if slots >= issueWidth {
+			slots = 0
+			cycle++
 		}
 	}
 
-	for op := range t.OpCounts {
-		t.OpCounts[op] = opCounts[op]
-	}
-	t.Cycles = max(cycle, lastComplete)
-	return t
+	l.cycle, l.slots, l.fetchReady, l.lastComplete = cycle, slots, fetchReady, lastComplete
+	l.t.FetchStallCycles += fetchStall
+	l.t.DepStallCycles += depStall
+	l.t.MemStallCycles += memStall
+	l.t.BranchStallCycles += branchStall
+	l.t.BarrierStallCycles += barrierStall
 }
 
 // chargeWrongPath models the squashed instructions fetched down a
 // mispredicted path: they count as speculative work and pollute the
 // instruction-side hierarchy (including the ITLB — the mechanism behind
 // the paper's Cluster A finding that gem5 branch mispredictions drive L2
-// ITLB traffic).
-func (c *Core) chargeWrongPath(t *Tally, in *isa.Inst) {
+// ITLB traffic). Its latencies are discarded, so it belongs to phase A.
+func (c *Core) chargeWrongPath(fe *frontend, in *isa.Inst) {
 	// Squash reach: roughly one fetch group enters the pipeline before the
 	// redirect propagates. (The paper's Fig. 6 observes only ~1.1x more
 	// speculatively executed instructions in the model than on hardware
 	// even with 21x the mispredicts, so the per-squash wrong-path depth is
 	// small.)
-	wrong := uint64(c.cfg.FetchWidth)
-	t.WrongPathInsts += wrong
+	fe.wrongPath += uint64(c.cfg.FetchWidth)
 
 	// The wrong path starts at the predicted (wrong) continuation: for a
 	// branch wrongly predicted taken this is the stale BTB target; for one
@@ -247,14 +194,14 @@ func (c *Core) chargeWrongPath(t *Tally, in *isa.Inst) {
 	}
 	line := uint64(c.Hier.L1I.LineBytes())
 	for i := uint64(0); i < 2; i++ {
-		t.FetchAccesses++
-		c.Hier.FetchAccess(wrongPC + i*line)
+		fe.fetches++
+		c.Hier.Fetch(wrongPC + i*line)
 	}
 	// Stale BTB/RAS entries steer a share of wrong paths to far-away
 	// addresses; the resulting speculative translation reaches the L2
 	// ITLB before the squash. The far page cycles deterministically over
 	// a set larger than the L1 ITLB, so this traffic scales with the
 	// misprediction count — the coupling Section IV-C exposes.
-	farPC := in.PC + (((t.WrongPathInsts/4)&63)+1)*4096
+	farPC := in.PC + (((fe.wrongPath/4)&63)+1)*4096
 	c.Hier.WrongPathProbe(farPC)
 }

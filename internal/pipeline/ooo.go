@@ -1,13 +1,9 @@
 package pipeline
 
-import (
-	"math/bits"
+import "gemstone/internal/mem"
 
-	"gemstone/internal/isa"
-)
-
-// runOutOfOrder is the bounded-dataflow out-of-order model (Cortex-A15
-// class). Each instruction's issue time is the maximum of:
+// The bounded-dataflow out-of-order model (Cortex-A15 class). Each
+// instruction's issue time is the maximum of:
 //
 //   - its dispatch time (fetch-group delivery + frontend depth, gated by
 //     reorder-buffer occupancy),
@@ -20,239 +16,187 @@ import (
 // prediction into execution time: the deeper the window, the more work a
 // squash discards. This is the model through which the gem5-v1 BP defect
 // becomes the paper's -51% execution-time MPE.
-//
-// Instructions arrive in blocks (see blockSource): the loop walks a slice
-// instead of paying an interface call per instruction, with the scalar
-// Next path kept as a contract-equivalent fallback.
-func (c *Core) runOutOfOrder(stream isa.Stream) Tally {
-	var t Tally
-	// The scoreboard, latency table and op counters are sized 256 so that
-	// indexing by the uint8 register/op fields never needs a bounds check.
-	var regReady [256]uint64
-	var opCounts [256]uint64
 
-	robSize := c.cfg.ROBSize
-	robRetire := scratchU64(&c.robRetire, robSize)  // retire time, ring by index
-	ports := scratchU64(&c.ports, c.cfg.IssueWidth) // next-free time per port
-	sb := &c.sb
-	sb.reset(16)
+// oooLane is one operating point's timing state in the out-of-order model.
+type oooLane struct {
+	clk mem.Clock
+	// regReady is sized 256 for bounds-check-free indexing by the uint8
+	// register fields.
+	regReady  [256]uint64
+	robRetire []uint64 // retire time, ring by dynamic instruction index
+	ports     []uint64 // next-free time per issue port
+	sb        storeBuffer
 
-	// Invariant configuration hoisted out of the loop. Fetch-group ids are
-	// PC/fetchBytes; for power-of-two widths (every real config) the
-	// division becomes a shift, which matters at one division per
-	// instruction.
-	fetchBytes := uint64(c.cfg.FetchWidth) * 4
-	fetchPow2 := fetchBytes&(fetchBytes-1) == 0
-	fetchShift := uint(bits.TrailingZeros64(fetchBytes))
-	curGroup := ^uint64(0)
+	groupTime      uint64 // cycle the current fetch group is delivered
+	redirect       uint64 // frontend resume time after a mispredict
+	lastRetire     uint64 // retire time of the previous instruction
+	retiredInCycle int
+	rp             int   // ROB ring position (dynamic index mod ROBSize)
+	t              Tally // stall counters
+}
+
+func (l *oooLane) reset(c *Core, clk mem.Clock) {
+	l.clk = clk
+	clear(l.regReady[:])
+	l.robRetire = scratchU64(&l.robRetire, c.cfg.ROBSize)
+	l.ports = scratchU64(&l.ports, c.cfg.IssueWidth)
+	l.sb.reset(16)
+	l.groupTime, l.redirect, l.lastRetire = 0, 0, 0
+	l.retiredInCycle, l.rp = 0, 0
+	l.t = Tally{}
+}
+
+// oooBlock is phase B of the out-of-order model for one block: it times
+// the block's events on lane l. Like inOrderBlock it keeps the lane's
+// scalars in locals and writes the common path with max and conditional
+// moves rather than branches.
+func (c *Core) oooBlock(l *oooLane, ev []event) {
+	clk := l.clk
+	regReady := &l.regReady
+	robRetire, ports, sb := l.robRetire, l.ports, &l.sb
+	groupTime, redirect, lastRetire := l.groupTime, l.redirect, l.lastRetire
+	retiredInCycle, rp := l.retiredInCycle, l.rp
+	var fetchStall, memStall, branchStall, barrierStall, robStall uint64
+
 	baseFetchLat := c.Hier.L1I.LatencyCycles()
 	l1dLat := c.Hier.L1D.LatencyCycles()
-	fetchPerInst := c.cfg.FetchPerInstruction
 	frontendDepth := uint64(c.cfg.FrontendDepth)
 	mispredict := uint64(c.cfg.MispredictPenalty)
 	strexRetry := uint64(c.cfg.StrexRetryCycles)
 	retireWidth := c.cfg.RetireWidth
-	var latTab [256]uint64
-	for op, l := range c.cfg.Lat {
-		latTab[op] = uint64(l)
+	robSize := len(robRetire)
+	latTab, busyTab := &c.latTab, &c.busyTab
+	// Width 4 covers every shipped out-of-order config; its ports live in
+	// registers for the block.
+	wide4 := len(ports) == 4
+	var p0, p1, p2, p3 uint64
+	if wide4 {
+		p0, p1, p2, p3 = ports[0], ports[1], ports[2], ports[3]
 	}
-	// Port occupancy per op: divides are unpipelined and hold their port
-	// for the full latency; everything else is fully pipelined.
-	var busyTab [256]uint64
-	for op := range busyTab {
-		busyTab[op] = 1
-	}
-	busyTab[isa.OpIntDiv] = latTab[isa.OpIntDiv]
-	busyTab[isa.OpFPDiv] = latTab[isa.OpFPDiv]
 
-	groupTime := uint64(0)  // cycle the current fetch group is delivered
-	redirect := uint64(0)   // frontend resume time after a mispredict
-	lastRetire := uint64(0) // retire time of the previous instruction
-	retiredInCycle := 0
-	rp := 0 // ROB ring position (dynamic instruction index mod robSize)
+	for _, e := range ev {
+		flags := e.flags
 
-	src := newBlockSource(stream)
-	for {
-		blk := src.next(c)
-		if len(blk) == 0 {
-			break
+		// Frontend delivery: a new fetch group arrives a cycle after the
+		// last, no earlier than a mispredict redirect, plus any fetch miss
+		// beyond the pipelined hit latency.
+		next := max(groupTime+1, redirect)
+		extra := uint64(max(e.fetch.Cycles(clk)-baseFetchLat, 0))
+		if flags&evFetch != 0 {
+			fetchStall += next - (groupTime + 1) + extra
+			groupTime = next + extra
 		}
-		for bi := range blk {
-			in := &blk[bi]
 
-			// Frontend delivery.
-			group := in.PC >> fetchShift
-			if !fetchPow2 {
-				group = in.PC / fetchBytes
-			}
-			if group != curGroup {
-				curGroup = group
-				t.FetchAccesses++
-				next := groupTime + 1
-				if redirect > next {
-					t.FetchStallCycles += redirect - next
-					next = redirect
-				}
-				lat := c.Hier.FetchAccess(in.PC)
-				if extra := lat - baseFetchLat; extra > 0 {
-					next += uint64(extra)
-					t.FetchStallCycles += uint64(extra)
-				}
-				groupTime = next
-			} else if fetchPerInst {
-				// gem5 defect: the model performs an I-side lookup for every
-				// instruction instead of once per fetch group. The repeated
-				// lookups hit the line just fetched, so timing is unaffected,
-				// but the access counts (L1I, ITLB) are inflated — the paper's
-				// Fig. 6 shows >2x L1I accesses for exactly this reason.
-				t.FetchAccesses++
-				c.Hier.FetchAccess(in.PC)
-			}
-			fetchReady := groupTime
+		// Dispatch: bounded by ROB occupancy (the instruction ROBSize
+		// older must have retired).
+		dispatch := groupTime + frontendDepth
+		older := max(robRetire[rp], dispatch)
+		robStall += older - dispatch
+		// Operand readiness; the operands' maximum does not depend on the
+		// dispatch chain, so it is taken first.
+		ready := max(older, max(regReady[e.src1], regReady[e.src2]))
 
-			// Dispatch: bounded by ROB occupancy (the instruction ROBSize
-			// older must have retired).
-			dispatch := fetchReady + frontendDepth
-			if older := robRetire[rp]; older > dispatch {
-				t.ROBStallCycles += older - dispatch
-				dispatch = older
+		// Issue port: pick the earliest-free port (ties go to the lowest
+		// index). Packing time<<2|index makes the min branchless, and the
+		// packed compare resolves time ties toward the lowest index
+		// exactly like the scan's strict < does. Cycle counts stay far
+		// below 2^62, so the shift cannot overflow.
+		var p int
+		var pt uint64
+		if wide4 {
+			v := min(min(p0<<2, p1<<2|1), min(p2<<2|2, p3<<2|3))
+			p, pt = int(v&3), v>>2
+		} else {
+			for i := 1; i < len(ports); i++ {
+				if ports[i] < ports[p] {
+					p = i
+				}
 			}
+			pt = ports[p]
+		}
+		issue := max(ready, pt)
+		lat := latTab[e.op]
+		free := issue + busyTab[e.op]
+		if wide4 {
+			if p == 0 {
+				p0 = free
+			}
+			if p == 1 {
+				p1 = free
+			}
+			if p == 2 {
+				p2 = free
+			}
+			if p == 3 {
+				p3 = free
+			}
+		} else {
+			ports[p] = free
+		}
 
-			// Operand readiness.
-			ready := dispatch
-			if r := regReady[in.Src1]; r > ready {
-				ready = r
-			}
-			if r := regReady[in.Src2]; r > ready {
-				ready = r
-			}
-
-			// Issue port: pick the earliest-free port (ties go to the
-			// lowest index). Width 4 covers every shipped out-of-order
-			// config; packing time<<2|index makes the min branchless, and
-			// the packed compare resolves time ties toward the lowest
-			// index exactly like the scan's strict < does. Cycle counts
-			// stay far below 2^62, so the shift cannot overflow.
-			var p int
-			if len(ports) == 4 {
-				v := ports[0] << 2
-				if w := ports[1]<<2 | 1; w < v {
-					v = w
-				}
-				if w := ports[2]<<2 | 2; w < v {
-					v = w
-				}
-				if w := ports[3]<<2 | 3; w < v {
-					v = w
-				}
-				p = int(v & 3)
-			} else {
-				for i := 1; i < len(ports); i++ {
-					if ports[i] < ports[p] {
-						p = i
-					}
-				}
-			}
-			issue := ready
-			if pt := ports[p]; pt > issue {
-				issue = pt
-			}
-			lat := latTab[in.Op]
-			ports[p] = issue + busyTab[in.Op]
-
-			complete := issue + lat
-			switch in.Op {
-			case isa.OpLoad:
-				// The dataAccess arms are unrolled into the switch: one
-				// dispatch per memory instruction instead of two.
-				c.maybeSnoop(in.Addr)
-				dlat := c.Hier.LoadAccess(in.Addr, in.Unaligned)
-				complete = issue + lat + uint64(dlat)
-				if dlat > l1dLat {
-					t.MemStallCycles += uint64(dlat - l1dLat)
-				}
-			case isa.OpLoadEx:
-				dlat := c.Hier.LoadExclusive(in.Addr)
-				complete = issue + lat + uint64(dlat)
-				if dlat > l1dLat {
-					t.MemStallCycles += uint64(dlat - l1dLat)
-				}
-			case isa.OpStore:
-				c.maybeSnoop(in.Addr)
-				dlat := c.Hier.StoreAccess(in.Addr, int(in.Size), in.Unaligned)
-				st := sb.push(issue, dlat)
+		// Execute. A load's data latency extends its completion, and any
+		// part beyond the L1D hit latency counts as a memory stall.
+		dlat := e.data.Cycles(clk) * int(flags>>evLoadBit&1)
+		complete := issue + lat + uint64(dlat)
+		memStall += uint64(max(dlat-l1dLat, 0))
+		if flags&(evStore|evBarrier|evMispredict) != 0 {
+			switch {
+			case flags&evStore != 0:
+				st := sb.push(issue, e.data.Cycles(clk))
 				if st > issue {
-					t.MemStallCycles += st - issue
+					memStall += st - issue
 					complete = st + lat
 				}
-			case isa.OpStoreEx:
-				dlat, failed := c.dataAccess(in)
-				st := sb.push(issue, dlat)
-				if st > issue {
-					t.MemStallCycles += st - issue
-					complete = st + lat
-				}
-				if failed {
-					t.StrexRetries++
+				if flags&evStrexFail != 0 {
 					complete += strexRetry
 				}
-			case isa.OpBarrier:
-				c.Hier.Barrier()
-				wait := c.barrierWait()
-				// A barrier drains the window: it completes after everything
-				// older has retired, plus the synchronisation wait.
-				if lastRetire > complete {
-					complete = lastRetire
-				}
-				complete += wait
-				t.BarrierStallCycles += wait
-			case isa.OpBranch, isa.OpCall, isa.OpReturn, isa.OpBranchInd:
-				correct := c.predict(in)
-				if !correct {
-					// The frontend refetches from the resolved target.
-					r := complete + mispredict
-					if r > redirect {
-						redirect = r
-					}
-					t.BranchStallCycles += mispredict
-					c.chargeWrongPath(&t, in)
-					curGroup = ^uint64(0)
-				}
+			case flags&evBarrier != 0:
+				// A barrier drains the window: it completes after
+				// everything older has retired, plus the synchronisation
+				// wait.
+				complete = max(complete, lastRetire) + uint64(e.data)
+				barrierStall += uint64(e.data)
+			default: // evMispredict: the frontend refetches from the resolved target
+				redirect = max(redirect, complete+mispredict)
+				branchStall += mispredict
 			}
+		}
 
-			if writesDst[in.Op] {
-				regReady[in.Dst] = complete
-			}
+		// An op without a destination writes its register's old value
+		// back.
+		v := regReady[e.dst]
+		if writesDst[e.op] {
+			v = complete
+		}
+		regReady[e.dst] = v
 
-			// In-order retirement, RetireWidth per cycle.
-			retire := complete
-			if retire < lastRetire {
-				retire = lastRetire
-			}
-			if retire == lastRetire {
-				retiredInCycle++
-				if retiredInCycle >= retireWidth {
-					retire++
-					retiredInCycle = 0
-				}
-			} else {
-				retiredInCycle = 1
-			}
-			lastRetire = retire
-			robRetire[rp] = retire
-			rp++
-			if rp == robSize {
-				rp = 0
-			}
-
-			t.Committed++
-			opCounts[in.Op]++
+		// In-order retirement, RetireWidth per cycle.
+		retire := max(complete, lastRetire)
+		same := retire == lastRetire
+		retiredInCycle++
+		if !same {
+			retiredInCycle = 1
+		}
+		if same && retiredInCycle >= retireWidth {
+			retire++
+			retiredInCycle = 0
+		}
+		lastRetire = retire
+		robRetire[rp] = retire
+		rp++
+		if rp == robSize {
+			rp = 0
 		}
 	}
 
-	for op := range t.OpCounts {
-		t.OpCounts[op] = opCounts[op]
+	if wide4 {
+		ports[0], ports[1], ports[2], ports[3] = p0, p1, p2, p3
 	}
-	t.Cycles = lastRetire
-	return t
+	l.groupTime, l.redirect, l.lastRetire = groupTime, redirect, lastRetire
+	l.retiredInCycle, l.rp = retiredInCycle, rp
+	l.t.FetchStallCycles += fetchStall
+	l.t.MemStallCycles += memStall
+	l.t.BranchStallCycles += branchStall
+	l.t.BarrierStallCycles += barrierStall
+	l.t.ROBStallCycles += robStall
 }

@@ -9,10 +9,23 @@
 // constraints (fetch bandwidth, issue ports, reorder-buffer occupancy,
 // retire bandwidth), which captures the latency-hiding behaviour that
 // separates big from LITTLE cores without simulating every pipeline stage.
+//
+// Each model is one two-phase kernel (Core.RunSweep). Phase A walks a block
+// of instructions once and does all the work the core clock cannot change:
+// fetch-group detection, the memory-hierarchy accesses, contention draws,
+// branch prediction and wrong-path charging. It leaves one event per
+// instruction: the fetch and data latencies as mem.Latency decompositions,
+// the mispredict and store-exclusive outcomes and the barrier wait. Phase
+// B replays the block's events on one timing lane per operating point,
+// each with its own scoreboard and structural state and its own DRAM cycle
+// pair. A whole DVFS sweep thus costs one memory-system simulation plus
+// one cheap timing pass per frequency; a single run (Core.Run) is the
+// sweep of one lane at the hierarchy's clock.
 package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gemstone/internal/branch"
 	"gemstone/internal/isa"
@@ -163,13 +176,18 @@ type Core struct {
 	Pred *branch.Predictor
 	Sync *SyncModel // nil for single-threaded runs
 
-	// Run-loop scratch reused across runs. Every field is (re)initialised
-	// at the start of a run, so a reused Core produces output identical to
-	// a fresh one; reuse only removes the per-run allocations.
-	blk       []isa.Inst
-	robRetire []uint64
-	ports     []uint64
-	sb        storeBuffer
+	// Per-op execute latencies and port occupancies, indexed by the uint8
+	// op so the timing loops need no bounds check.
+	latTab, busyTab [256]uint64
+
+	// Run-loop scratch reused across runs: the block buffer, phase A's
+	// events and the timing lanes. Every lane is reset at the start of a
+	// run, so a reused Core produces output identical to a fresh one;
+	// reuse only removes the per-run allocations.
+	blk      []isa.Inst
+	ev       []event
+	inLanes  []inOrderLane
+	oooLanes []oooLane
 }
 
 // writesDst marks the instruction classes that write a destination register
@@ -186,8 +204,9 @@ var writesDst = func() (w [256]bool) {
 }()
 
 // instBlockSize is the batch the timing loops request from a BlockStream:
-// large enough to amortise the per-block call, small enough that the buffer
-// stays L1-resident (256 instructions of 32 bytes = 8 KB).
+// large enough to amortise the per-block call, small enough that the
+// buffer and its events stay L1-resident (256 instructions of 32 bytes =
+// 8 KB, 256 events of 24 bytes = 6 KB).
 const instBlockSize = 256
 
 // block returns the core's reusable instruction block buffer.
@@ -208,6 +227,15 @@ func scratchU64(buf *[]uint64, n int) []uint64 {
 	s := (*buf)[:n]
 	clear(s)
 	return s
+}
+
+// lanes returns buf resized to n elements, keeping the lanes (and their
+// scratch storage) it already holds.
+func lanes[L any](buf *[]L, n int) []L {
+	if len(*buf) < n {
+		*buf = append(*buf, make([]L, n-len(*buf))...)
+	}
+	return (*buf)[:n]
 }
 
 // blockSource resolves the fastest delivery path a stream supports once,
@@ -232,7 +260,7 @@ func newBlockSource(stream isa.Stream) blockSource {
 // same sequence, which the golden equivalence tests pin.
 func (src *blockSource) next(c *Core) []isa.Inst {
 	if src.vs != nil {
-		return src.vs.NextView(0)
+		return src.vs.NextView(instBlockSize)
 	}
 	buf := c.block()
 	if src.bs != nil {
@@ -255,18 +283,252 @@ func NewCore(cfg Config, hier *mem.Hierarchy, pred *branch.Predictor) *Core {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Core{cfg: cfg, Hier: hier, Pred: pred}
+	c := &Core{cfg: cfg, Hier: hier, Pred: pred}
+	for op, l := range cfg.Lat {
+		c.latTab[op] = uint64(l)
+	}
+	// Divides are unpipelined and hold their port for the full latency;
+	// everything else is fully pipelined.
+	for op := range c.busyTab {
+		c.busyTab[op] = 1
+	}
+	c.busyTab[isa.OpIntDiv] = c.latTab[isa.OpIntDiv]
+	c.busyTab[isa.OpFPDiv] = c.latTab[isa.OpFPDiv]
+	return c
 }
 
 // Config returns the core configuration.
 func (c *Core) Config() Config { return c.cfg }
 
-// Run executes the stream to completion and returns the tally.
+// Run executes the stream to completion at the hierarchy's clock and
+// returns the tally: RunSweep with one lane.
 func (c *Core) Run(stream isa.Stream) Tally {
-	if c.cfg.Kind == InOrder {
-		return c.runInOrder(stream)
+	clocks := [1]mem.Clock{c.Hier.Clock()}
+	var out [1]Tally
+	c.RunSweep(stream, clocks[:], out[:])
+	return out[0]
+}
+
+// RunSweep executes the stream to completion once and times it on one lane
+// per clock, writing lane i's tally to out[i] (len(out) must equal
+// len(clocks)). Each tally is bit-identical to a Run with the hierarchy
+// set to that lane's clock: the memory system, predictor and contention
+// model run once (phase A), in exactly Run's call order, and only the
+// timing arithmetic runs per lane (phase B).
+func (c *Core) RunSweep(stream isa.Stream, clocks []mem.Clock, out []Tally) {
+	if len(out) != len(clocks) {
+		panic(fmt.Sprintf("pipeline: %d tallies for %d clocks", len(out), len(clocks)))
 	}
-	return c.runOutOfOrder(stream)
+	var fe frontend
+	fe.reset(c)
+	inOrder := c.cfg.Kind == InOrder
+	var ins []inOrderLane
+	var ooos []oooLane
+	if inOrder {
+		ins = lanes(&c.inLanes, len(clocks))
+		for i := range ins {
+			ins[i].reset(clocks[i])
+		}
+	} else {
+		ooos = lanes(&c.oooLanes, len(clocks))
+		for i := range ooos {
+			ooos[i].reset(c, clocks[i])
+		}
+	}
+	if c.ev == nil {
+		c.ev = make([]event, instBlockSize)
+	}
+
+	src := newBlockSource(stream)
+	for {
+		blk := src.next(c)
+		if len(blk) == 0 {
+			break
+		}
+		ev := c.ev[:len(blk)]
+		c.frontBlock(&fe, blk, ev)
+		if inOrder {
+			for i := range ins {
+				c.inOrderBlock(&ins[i], ev)
+			}
+		} else {
+			for i := range ooos {
+				c.oooBlock(&ooos[i], ev)
+			}
+		}
+	}
+
+	for i := range out {
+		if inOrder {
+			out[i] = ins[i].t
+			out[i].Cycles = max(ins[i].cycle, ins[i].lastComplete)
+		} else {
+			out[i] = ooos[i].t
+			out[i].Cycles = ooos[i].lastRetire
+		}
+		fe.fill(&out[i])
+	}
+}
+
+// event is phase A's record of one instruction: everything its timing
+// depends on, with the memory-system outcomes in clock-independent form.
+// The timing lanes read events only, never the instruction block.
+type event struct {
+	// fetch is the I-side access of the fetch group the instruction opens
+	// (evFetch set), and zero otherwise.
+	fetch mem.Latency
+	// data is the data access of a load or store, and the synchronisation
+	// wait in cycles of a barrier.
+	data mem.Latency
+	// The instruction's op and registers.
+	op, src1, src2, dst uint8
+	flags               uint8
+}
+
+// event flag bits. The class flags let a lane branch on a few bits, or
+// mask by them, instead of switching on the op.
+const (
+	evFetchBit      = iota // the instruction opens a fetch group
+	evLoadBit              // load or load-exclusive: data is its latency
+	evStoreBit             // store or store-exclusive: data is its latency
+	evBarrierBit           // data is the barrier's wait
+	evMispredictBit        // a control-flow instruction was mispredicted
+	evTakenCutBit          // a correctly predicted taken branch ends the fetch group (in-order)
+	evStrexFailBit         // a store-exclusive failed and replays
+)
+
+// event flags.
+const (
+	evFetch      = 1 << evFetchBit
+	evLoad       = 1 << evLoadBit
+	evStore      = 1 << evStoreBit
+	evBarrier    = 1 << evBarrierBit
+	evMispredict = 1 << evMispredictBit
+	evTakenCut   = 1 << evTakenCutBit
+	evStrexFail  = 1 << evStrexFailBit
+)
+
+// noGroup is a fetch-group id no PC maps to: the next instruction opens a
+// new group.
+const noGroup = ^uint64(0)
+
+// frontend is phase A's state across blocks: the fetch-group tracker and
+// the tally counters every lane shares.
+type frontend struct {
+	bytes    uint64 // fetch-group size in bytes
+	pow2     bool
+	shift    uint
+	perInst  bool // Config.FetchPerInstruction
+	takenCut bool // a taken branch ends the fetch group (in-order)
+	curGroup uint64
+
+	committed, wrongPath, fetches, strexRetries uint64
+	// opCounts is sized 256 for bounds-check-free indexing by the uint8 op.
+	opCounts [256]uint64
+}
+
+func (fe *frontend) reset(c *Core) {
+	// Fetch-group ids are PC/bytes; for power-of-two widths (every real
+	// config) the division becomes a shift, which matters at one division
+	// per instruction.
+	*fe = frontend{
+		bytes:    uint64(c.cfg.FetchWidth) * 4,
+		perInst:  c.cfg.FetchPerInstruction,
+		takenCut: c.cfg.Kind == InOrder,
+		curGroup: noGroup,
+	}
+	fe.pow2 = fe.bytes&(fe.bytes-1) == 0
+	fe.shift = uint(bits.TrailingZeros64(fe.bytes))
+}
+
+// fill copies the frequency-invariant counters into t.
+func (fe *frontend) fill(t *Tally) {
+	t.Committed = fe.committed
+	for op := range t.OpCounts {
+		t.OpCounts[op] = fe.opCounts[op]
+	}
+	t.WrongPathInsts = fe.wrongPath
+	t.FetchAccesses = fe.fetches
+	t.StrexRetries = fe.strexRetries
+}
+
+// frontBlock is phase A for one block: it drives the hierarchy, predictor
+// and contention model for every instruction, in program order, and writes
+// ev[i] for blk[i].
+func (c *Core) frontBlock(fe *frontend, blk []isa.Inst, ev []event) {
+	hier := c.Hier
+	curGroup, fetches := fe.curGroup, fe.fetches
+	shift, pow2, perInst, takenCut := fe.shift, fe.pow2, fe.perInst, fe.takenCut
+	for i := range blk {
+		in, e := &blk[i], &ev[i]
+		e.op, e.src1, e.src2, e.dst = uint8(in.Op), in.Src1, in.Src2, in.Dst
+		e.fetch = 0
+		var flags uint8
+
+		// One I-side access per fetch group. Under the gem5 defect the
+		// lookup repeats per instruction: the repeats hit the line just
+		// fetched, so timing is unaffected, but the access counts (L1I,
+		// ITLB) are inflated — the paper's Fig. 6 shows >2x L1I accesses
+		// for exactly this reason.
+		group := in.PC >> shift
+		if !pow2 {
+			group = in.PC / fe.bytes
+		}
+		if group != curGroup {
+			curGroup = group
+			fetches++
+			e.fetch = hier.Fetch(in.PC)
+			flags = evFetch
+		} else if perInst {
+			fetches++
+			hier.Fetch(in.PC)
+		}
+
+		switch in.Op {
+		case isa.OpLoad:
+			c.maybeSnoop(in.Addr)
+			e.data = hier.Load(in.Addr, in.Unaligned)
+			flags |= evLoad
+		case isa.OpLoadEx:
+			e.data = hier.LoadExclusive(in.Addr)
+			flags |= evLoad
+		case isa.OpStore:
+			c.maybeSnoop(in.Addr)
+			e.data = hier.Store(in.Addr, int(in.Size), in.Unaligned)
+			flags |= evStore
+		case isa.OpStoreEx:
+			if c.Sync != nil && c.Sync.StrexFailProb > 0 && c.Sync.rng.Bool(c.Sync.StrexFailProb) {
+				// A sibling stole the line between LDREX and STREX.
+				hier.InjectSnoop(in.Addr)
+			}
+			lat, ok := hier.StoreExclusive(in.Addr)
+			e.data = lat
+			flags |= evStore
+			if !ok {
+				flags |= evStrexFail
+				fe.strexRetries++
+			}
+		case isa.OpBarrier:
+			hier.Barrier()
+			e.data = mem.Latency(c.barrierWait())
+			flags |= evBarrier
+		case isa.OpBranch, isa.OpCall, isa.OpReturn, isa.OpBranchInd:
+			if !c.predict(in) {
+				flags |= evMispredict
+				fe.fetches = fetches
+				c.chargeWrongPath(fe, in)
+				fetches = fe.fetches
+				curGroup = noGroup
+			} else if in.Taken && takenCut {
+				flags |= evTakenCut
+				curGroup = noGroup
+			}
+		}
+		e.flags = flags
+		fe.opCounts[in.Op]++
+	}
+	fe.curGroup, fe.fetches = curGroup, fetches
+	fe.committed += uint64(len(blk))
 }
 
 // predict routes one control-flow instruction through the predictor and
@@ -290,29 +552,6 @@ func (c *Core) maybeSnoop(addr uint64) {
 	if c.Sync != nil && c.Sync.SnoopProb > 0 && c.Sync.rng.Bool(c.Sync.SnoopProb) {
 		c.Hier.InjectSnoop(addr)
 	}
-}
-
-// dataAccess performs the memory access for in and returns (latency,
-// strexFailed).
-func (c *Core) dataAccess(in *isa.Inst) (int, bool) {
-	switch in.Op {
-	case isa.OpLoad:
-		c.maybeSnoop(in.Addr)
-		return c.Hier.LoadAccess(in.Addr, in.Unaligned), false
-	case isa.OpStore:
-		c.maybeSnoop(in.Addr)
-		return c.Hier.StoreAccess(in.Addr, int(in.Size), in.Unaligned), false
-	case isa.OpLoadEx:
-		return c.Hier.LoadExclusive(in.Addr), false
-	case isa.OpStoreEx:
-		if c.Sync != nil && c.Sync.StrexFailProb > 0 && c.Sync.rng.Bool(c.Sync.StrexFailProb) {
-			// A sibling stole the line between LDREX and STREX.
-			c.Hier.InjectSnoop(in.Addr)
-		}
-		lat, ok := c.Hier.StoreExclusive(in.Addr)
-		return lat, !ok
-	}
-	return 0, false
 }
 
 func (c *Core) barrierWait() uint64 {

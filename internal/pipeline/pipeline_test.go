@@ -286,3 +286,55 @@ func TestPipelineDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestRunSweepLanesMatchRun pins the two-phase kernel on both core models
+// (the out-of-order test config has 3 issue ports, so the generic port
+// scan is covered too): each lane of one RunSweep over a mixed stream —
+// DRAM-missing loads and stores, branches, barriers and contended
+// exclusives — equals a fresh Run at that lane's clock.
+func TestRunSweepLanesMatchRun(t *testing.T) {
+	rng := xrand.New(7)
+	var insts []isa.Inst
+	for i := 0; i < 6000; i++ {
+		in := isa.Inst{PC: 0x1000 + uint64(i%512)*4, Src1: uint8(rng.Intn(16)), Src2: uint8(rng.Intn(16)), Dst: uint8(rng.Intn(16))}
+		switch r := rng.Intn(20); {
+		case r < 6:
+			in.Op, in.Addr, in.Size = isa.OpLoad, uint64(rng.Intn(1<<24))&^3, 4
+		case r < 9:
+			in.Op, in.Addr, in.Size = isa.OpStore, uint64(rng.Intn(1<<24))&^3, 4
+		case r < 12:
+			in.Op, in.Target, in.Taken = isa.OpBranch, 0x1000+uint64(rng.Intn(512))*4, rng.Bool(0.5)
+		case r == 12:
+			in.Op = isa.OpBarrier
+		case r == 13:
+			in.Op, in.Addr, in.Size = isa.OpLoadEx, 0x8000, 4
+		case r == 14:
+			in.Op, in.Addr, in.Size = isa.OpStoreEx, 0x8000, 4
+		default:
+			in.Op = isa.OpIntMul
+		}
+		insts = append(insts, in)
+	}
+	ghz := []float64{0.2, 1.0, 1.8}
+	for _, cfg := range []Config{inOrderConfig(), oooConfig()} {
+		sweep := newCore(cfg)
+		sweep.Sync = NewSyncModel(9, 0.05, 40, 0.2)
+		clocks := make([]mem.Clock, len(ghz))
+		for i, g := range ghz {
+			clocks[i] = sweep.Hier.ClockAt(g)
+		}
+		got := make([]Tally, len(ghz))
+		sweep.RunSweep(isa.NewSliceStream(insts), clocks, got)
+		for i, g := range ghz {
+			one := newCore(cfg)
+			one.Sync = NewSyncModel(9, 0.05, 40, 0.2)
+			one.Hier.SetFrequencyGHz(g)
+			if want := one.Run(isa.NewSliceStream(insts)); got[i] != want {
+				t.Fatalf("%s lane at %.1f GHz:\ngot:  %+v\nwant: %+v", cfg.Name, g, got[i], want)
+			}
+		}
+		if got[0].Cycles >= got[2].Cycles {
+			t.Fatalf("%s: a DRAM-bound stream takes fewer cycles at 0.2 GHz (%d) than at 1.8 GHz (%d)", cfg.Name, got[0].Cycles, got[2].Cycles)
+		}
+	}
+}

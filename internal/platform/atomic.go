@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 
+	"gemstone/internal/mem"
 	"gemstone/internal/obs"
 	"gemstone/internal/pipeline"
 	"gemstone/internal/pmu"
@@ -34,11 +35,10 @@ import (
 //  2. Frequency dependence. Across a cluster's DVFS range every counter of
 //     the same workload is near-affine in frequency (cache-hit latencies
 //     are fixed in cycles, DRAM latencies in nanoseconds — the same
-//     observation DVFS trace replay exploits exactly). The anchor pass
-//     runs at the two DVFS extremes — the second pass replaying the
-//     first's memory traces at a fraction of the cost — and any operating
-//     point is predicted by affine interpolation between the two
-//     extrapolated anchors.
+//     observation the detailed tier's sweep lanes exploit exactly). The
+//     anchor pass runs once, timed on two lanes at the DVFS extremes (see
+//     pipeline.Core.RunSweep), and any operating point is predicted by
+//     affine interpolation between the two extrapolated anchors.
 //
 // The residual error (transient shape beyond the observed prefix, integer
 // rounding) is bounded by the fidelity tests rather than pinned
@@ -86,12 +86,7 @@ func anchorProfile(p workload.Profile) (workload.Profile, float64) {
 
 // predict derives the point's sample from the workload's anchors by
 // affine interpolation in frequency.
-func (sc *SimContext) predict(pt point, parent *obs.Span) (pmu.Sample, error) {
-	an, err := sc.anchors(pt.cl, pt.prof, parent)
-	if err != nil {
-		return pmu.Sample{}, err
-	}
-
+func predict(an *atomicAnchors, pt point, parent *obs.Span) pmu.Sample {
 	sp := parent.Child("predict")
 	t := 0.0
 	if an.hiF != an.loF {
@@ -103,7 +98,7 @@ func (sc *SimContext) predict(pt point, parent *obs.Span) (pmu.Sample, error) {
 		sp.Annotate(obs.Uint64("cycles", sample.Tally.Cycles), obs.Float64("anchor_t", t))
 		sp.End()
 	}
-	return sample, nil
+	return sample
 }
 
 // anchors returns (computing and caching if necessary) the workload's
@@ -118,29 +113,14 @@ func (sc *SimContext) anchors(cl ClusterConfig, prof workload.Profile, parent *o
 	hiF := cl.DVFS[len(cl.DVFS)-1].FreqMHz
 
 	sp := parent.Child("anchor")
-	// The lo pass records one memory trace per checkpoint chunk; the hi
-	// pass replays them chunk-by-chunk, so its checkpoints restore the
-	// (frequency-invariant) statistics snapshots at a fraction of the
-	// cost. The traces are the cluster's anchorTraces, apart from the
-	// detailed tier's full-run trace; they may still hold the previous
-	// workload's anchors, which is why the lo pass always records.
-	lo, err := sc.anchorPass(cl, anchor, loF, true, sp)
-	if err != nil {
-		sp.End()
-		return nil, fmt.Errorf("platform: atomic anchor (%s/%s@%d): %w", prof.Name, cl.Name, loF, err)
-	}
-	hi := lo
-	if hiF != loF {
-		hi, err = sc.anchorPass(cl, anchor, hiF, false, sp)
-		if err != nil {
-			sp.End()
-			return nil, fmt.Errorf("platform: atomic anchor (%s/%s@%d): %w", prof.Name, cl.Name, hiF, err)
-		}
-	}
+	lo, hi, err := sc.anchorPass(cl, anchor, loF, hiF, sp)
 	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("platform: atomic anchor (%s/%s@%d-%d): %w", prof.Name, cl.Name, loF, hiF, err)
+	}
 
-	// The passes stored the cluster's state (the atomic tier runs only on
-	// a reusing context), so the anchors are cached alongside it.
+	// The pass stored the cluster's state (the atomic tier runs only on a
+	// reusing context), so the anchors are cached alongside it.
 	s := sc.sims[cl.Name]
 	s.anchors = atomicAnchors{
 		prof: prof, ok: true,
@@ -157,51 +137,41 @@ type anchorCheckpoints struct {
 	cum   [3]pmu.Sample
 }
 
-// anchorPass runs the anchor profile at freqMHz in one detailed pass split
-// into three chunks, capturing the cumulative counters at each chunk
-// boundary. Each chunk's memory trace lives in the cluster's
-// anchorTraces. With record set the pass records them; otherwise it
-// replays them (chunk-by-chunk) instead of simulating the memory system
-// when all three are valid, and records them when not.
-func (sc *SimContext) anchorPass(cl ClusterConfig, anchor workload.Profile, freqMHz int, record bool, parent *obs.Span) (anchorCheckpoints, error) {
-	sp := parent.Child("anchor_pass", obs.Int("freq_mhz", freqMHz))
+// anchorPass runs the anchor profile in one detailed pass split into three
+// chunks, timed on two lanes at loF and hiF, and captures both lanes'
+// cumulative counters at each chunk boundary. Each chunk is a RunSweep of
+// its own, so each starts with empty pipeline state while the hierarchy
+// and predictor carry over; with loF == hiF one lane serves both.
+func (sc *SimContext) anchorPass(cl ClusterConfig, anchor workload.Profile, loF, hiF int, parent *obs.Span) (lo, hi anchorCheckpoints, err error) {
+	sp := parent.Child("anchor_pass", obs.Int("lo_mhz", loF), obs.Int("hi_mhz", hiF))
 	defer sp.End()
 
-	var cp anchorCheckpoints
-	ghz := float64(freqMHz) / 1000
-	s := sc.sim(cl, anchor, ghz)
-	hier, pred, core, traces := s.hier, s.pred, s.core, &s.anchorTraces
+	loGHz, hiGHz := float64(loF)/1000, float64(hiF)/1000
+	s := sc.sim(cl, anchor, loGHz)
 	insts := sc.expand(anchor)
 	n := len(insts)
 	if n == 0 {
-		return cp, fmt.Errorf("empty anchor stream for %q", anchor.Name)
+		return lo, hi, fmt.Errorf("empty anchor stream for %q", anchor.Name)
 	}
 	bounds := [4]int{0, n / 4, n / 2, n}
-	// Replay is all-or-nothing: a plainly simulated chunk needs live cache
-	// contents, which a preceding replayed chunk leaves stale.
-	replayAll := !record && traces[0].Valid() && traces[1].Valid() && traces[2].Valid()
+	clocks := [2]mem.Clock{s.hier.ClockAt(loGHz), s.hier.ClockAt(hiGHz)}
+	nl := 2
+	if hiF == loF {
+		nl = 1
+	}
 
-	var sum pipeline.Tally
+	var sums, t [2]pipeline.Tally
 	for i := 0; i < 3; i++ {
 		chunk := sc.wrap(&packedStream{insts: insts[bounds[i]:bounds[i+1]]})
-		if replayAll {
-			if !hier.BeginTraceReplay(&traces[i]) {
-				return cp, fmt.Errorf("anchor trace %d invalid mid-pass", i)
-			}
-		} else {
-			hier.BeginTraceRecord(&traces[i])
+		s.core.RunSweep(chunk, clocks[:nl], t[:nl])
+		for k := 0; k < nl; k++ {
+			addTally(&sums[k], &t[k])
 		}
-		t := core.Run(chunk)
-		if replayAll {
-			hier.EndTraceReplay()
-		} else {
-			hier.EndTraceRecord()
-		}
-		addTally(&sum, &t)
-		cp.insts[i] = float64(bounds[i+1])
-		cp.cum[i] = pmu.Capture(sum, hier, pred, ghz)
+		lo.insts[i], hi.insts[i] = float64(bounds[i+1]), float64(bounds[i+1])
+		lo.cum[i] = pmu.Capture(sums[0], s.hier, s.pred, loGHz)
+		hi.cum[i] = pmu.Capture(sums[nl-1], s.hier, s.pred, hiGHz)
 	}
-	return cp, nil
+	return lo, hi, nil
 }
 
 // addTally accumulates t into sum counter by counter.

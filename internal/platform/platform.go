@@ -201,11 +201,11 @@ type Measurement struct {
 }
 
 // Run executes the workload on the named cluster at freqMHz at the
-// detailed tier. It is the reference the reusing SimContext is pinned
-// against: fresh simulation state, the workload generator handed straight
-// to the core, no DVFS trace. With a tracer attached (SetTracer) the run
-// records a "run" root span with the simulator phases as children (see
-// SimContext.RunFidelity).
+// detailed tier. It is the reference the reusing SimContext and its
+// sweeps are pinned against: fresh simulation state, the workload
+// generator handed straight to the core, one timing lane, no DVFS trace.
+// With a tracer attached (SetTracer) the run records a "run" root span
+// with the simulator phases as children (see SimContext.RunSweep).
 //
 // Sensored platforms emulate the paper's measurement procedure: the
 // workload is repeated until it has exercised the CPU for at least 30

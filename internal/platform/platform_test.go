@@ -143,12 +143,14 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestSimContextReuseAllocs guards the reuse of a context's stream and
-// DVFS traces (full-run and anchor): the first sweeps of a tier grow them
-// to fit, and once it has swept both workloads, sweeping either again
-// allocates no new storage. Each such sweep may allocate up to
-// allocSlack, a run's small bookkeeping; any stream or trace for these
-// 240k-instruction workloads is larger.
+// TestSimContextReuseAllocs guards the reuse of a context's stream, DVFS
+// trace and timing lanes: the first sweeps of a tier grow them to fit, and
+// once it has swept both workloads, sweeping either again allocates no new
+// storage. That holds for a sweep run point by point (RunFidelity, which
+// records and replays the trace) and for one RunSweep over every DVFS
+// point (one timing lane per point). Each such sweep may allocate up to
+// allocSlack, a run's small bookkeeping and the returned Measurements; any
+// stream or trace for these 240k-instruction workloads is larger.
 func TestSimContextReuseAllocs(t *testing.T) {
 	const allocSlack = 64 << 10
 	pl := hw.Platform()
@@ -159,17 +161,25 @@ func TestSimContextReuseAllocs(t *testing.T) {
 	a, b := mustProfile(t, "dhrystone"), mustProfile(t, "parsec-canneal-4")
 	sc := platform.NewSimContext(pl)
 	for _, fid := range []platform.Fidelity{platform.FidelityDetailed, platform.FidelityAtomic} {
-		for i, prof := range []workload.Profile{a, b, a, b} {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for _, f := range cl.Frequencies() {
-				if _, err := sc.RunFidelity(prof, hw.ClusterA15, f, fid, nil); err != nil {
-					t.Fatal(err)
+		for _, oneRun := range []bool{false, true} {
+			for i, prof := range []workload.Profile{a, b, a, b} {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if oneRun {
+					if _, err := sc.RunSweep(prof, hw.ClusterA15, cl.Frequencies(), fid, nil); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					for _, f := range cl.Frequencies() {
+						if _, err := sc.RunFidelity(prof, hw.ClusterA15, f, fid, nil); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
-			}
-			runtime.ReadMemStats(&after)
-			if n := after.TotalAlloc - before.TotalAlloc; i >= 2 && n > allocSlack {
-				t.Errorf("%v sweep of %s on a reused context allocated %d bytes", fid, prof.Name, n)
+				runtime.ReadMemStats(&after)
+				if n := after.TotalAlloc - before.TotalAlloc; i >= 2 && n > allocSlack {
+					t.Errorf("%v sweep of %s on a reused context (one RunSweep: %v) allocated %d bytes", fid, prof.Name, oneRun, n)
+				}
 			}
 		}
 	}

@@ -21,44 +21,42 @@ type clusterSim struct {
 	pred *branch.Predictor
 	core *pipeline.Core
 
-	// DVFS trace of the most recently simulated workload on this cluster
-	// (see mem.DVFSTrace): a campaign sweeps the same workload across every
-	// operating point, and the memory-system event stream is
-	// frequency-invariant, so the first run records the per-access latency
-	// decomposition and the remaining frequencies replay it — bit-identical
-	// results at a fraction of the work.
+	// DVFS trace of the most recently simulated RunFidelity on this
+	// cluster (see mem.DVFSTrace). A RunSweep shares its memory-system
+	// work across timing lanes instead and records no trace; points that
+	// arrive one run at a time (internal/dist dispatches per job) reuse it
+	// through the trace: the first run records the per-access latency
+	// decompositions, and later runs of the same workload at other
+	// frequencies replay them — bit-identical results at a fraction of the
+	// work.
 	trace     mem.DVFSTrace
 	traceProf workload.Profile
 	traceOK   bool
 
 	// Atomic-tier anchor cache (see atomic.go): the truncated detailed
 	// samples at the cluster's DVFS extremes for the most recently
-	// predicted workload. Like the DVFS trace it is one-entry because a
-	// core.Collect worker claims whole workload groups, or whole sweeps,
-	// so one context sees every point of a sweep back to back (see
-	// SimContext; internal/dist still dispatches per job).
+	// predicted workload. It is one-entry because a core.Collect worker
+	// runs whole sweeps, so one context sees every point of a sweep back
+	// to back.
 	anchors atomicAnchors
-	// anchorTraces are the anchor passes' per-checkpoint memory traces,
-	// kept apart from trace so that an anchor computation never displaces
-	// the detailed tier's full-run trace, and kept here so that their
-	// storage is reused across anchor computations.
-	anchorTraces [3]mem.DVFSTrace
 }
 
 // SimContext runs workloads on a Platform while reusing all heavyweight
-// simulation state between runs, for both simulation tiers: every point
-// goes through RunFidelity. A fresh Hierarchy/Predictor/Core costs
-// hundreds of kilobytes of allocation per run; a campaign performs
-// thousands of runs, so the cold-campaign allocation profile was dominated
-// by this churn. The context keeps one clusterSim per cluster (Reset()
-// restores just-constructed state, so results are bit-identical to fresh
+// simulation state between runs, for both simulation tiers: every run
+// goes through RunSweep, a single point (RunFidelity) being a sweep of
+// one. A fresh Hierarchy/Predictor/Core costs hundreds of kilobytes of
+// allocation per run; a campaign performs thousands of runs, so the
+// cold-campaign allocation profile was dominated by this churn. The
+// context keeps one clusterSim per cluster (Reset() restores
+// just-constructed state, so results are bit-identical to fresh
 // construction — the golden equivalence tests pin this) and a one-entry
 // cache of the most recently expanded instruction stream, which pays off
 // when consecutive runs share a workload. core.Collect arranges that: its
 // workers claim whole workload groups, every cluster and frequency of one
 // workload, falling back to whole (workload, cluster) sweeps when a
-// campaign has fewer workloads than workers. internal/dist still
-// dispatches per job, so a remote worker's context reuses less.
+// campaign has fewer workloads than workers, and run each sweep in one
+// RunSweep. internal/dist still dispatches per job, so a remote worker's
+// context reuses less.
 //
 // A SimContext is not safe for concurrent use; create one per worker.
 type SimContext struct {
@@ -74,6 +72,12 @@ type SimContext struct {
 	streamProf workload.Profile
 	streamOK   bool
 	streamBuf  []packedInst
+
+	// Per-sweep scratch: the resolved points, their DRAM clocks and their
+	// lanes' tallies.
+	pts     []point
+	clocks  []mem.Clock
+	tallies []pipeline.Tally
 
 	// ScalarStreams forces the timing models onto the scalar Next() path
 	// by hiding the BlockStream fast path of every stream handed to the
@@ -120,8 +124,8 @@ func (sc *SimContext) sim(cl ClusterConfig, prof workload.Profile, ghz float64) 
 
 // expand returns prof's instruction stream, expanded once into the
 // context's reused buffer: consecutive runs of the same workload (other
-// cluster, other frequency, or the atomic tier's second anchor pass) skip
-// regeneration entirely. The slice packs the exact sequence the generator
+// cluster, other frequency, or the atomic tier after the detailed one)
+// skip regeneration entirely. The slice packs the exact sequence the generator
 // produces; replay it with a packedStream. The buffer is sized once, to
 // prof.MaxStreamLen(), and never regrown: a smaller workload reuses it as
 // is.
@@ -180,77 +184,138 @@ type point struct {
 }
 
 // RunFidelity executes the workload on the named cluster at freqMHz at
-// the requested simulation tier, recording the simulator phases as
-// children of parent (a nil parent runs untraced). It resolves the point,
-// obtains the tier's PMU sample, and assembles the Measurement from it:
-//
-//   - FidelityDetailed runs the full timing model: "expand" (simulation
-//     state and workload expansion), "pipeline" (the timing-model
-//     execution) and "collate" (the PMU walk over the memory-hierarchy
-//     and predictor statistics).
-//   - FidelityAtomic predicts the sample from the workload's anchor runs
-//     (see atomic.go): "anchor" with one "anchor_pass" per DVFS extreme
-//     on the first point of a sweep (the anchors are cached per cluster),
-//     then "predict". The Measurement is marked with its Fidelity.
-//
-// On sensored platforms both tiers end with the same "power" phase.
+// the requested simulation tier: RunSweep of one point, for callers that
+// receive a sweep's points one at a time. On the reusing context its
+// detailed runs also record the DVFS trace, or replay it when the previous
+// RunFidelity on the cluster ran the same workload.
 func (sc *SimContext) RunFidelity(prof workload.Profile, cluster string, freqMHz int, fid Fidelity, parent *obs.Span) (Measurement, error) {
-	cl, err := sc.p.Cluster(cluster)
+	freqs := [1]int{freqMHz}
+	var buf [1]Measurement
+	ms, err := sc.sweep(prof, cluster, freqs[:], fid, true, parent, buf[:0])
 	if err != nil {
 		return Measurement{}, err
 	}
-	volt, err := cl.Voltage(freqMHz)
-	if err != nil {
-		return Measurement{}, err
-	}
-	if err := prof.Validate(); err != nil {
-		return Measurement{}, err
-	}
-	pt := point{prof: prof, cl: cl, freqMHz: freqMHz, volt: volt, ghz: float64(freqMHz) / 1000}
-
-	var sample pmu.Sample
-	switch fid {
-	case FidelityDetailed:
-		sample = sc.simulate(pt, parent)
-	case FidelityAtomic:
-		sample, err = sc.predict(pt, parent)
-	default:
-		err = fmt.Errorf("platform: unknown fidelity %d", fid)
-	}
-	if err != nil {
-		return Measurement{}, err
-	}
-	return sc.measure(pt, sample, fid, parent), nil
+	return ms[0], nil
 }
 
-// simulate runs the point through the detailed timing model.
-func (sc *SimContext) simulate(pt point, parent *obs.Span) pmu.Sample {
+// RunSweep executes the workload on the named cluster at each of freqs,
+// in order, at the requested simulation tier, recording the simulator
+// phases as children of parent (a nil parent runs untraced). Each
+// Measurement is bit-identical to a RunFidelity of its point; the sweep
+// shares the frequency-invariant work between its points:
+//
+//   - FidelityDetailed walks the stream once: "expand" (simulation state
+//     and workload expansion) and "pipeline" (the timing model, one lane
+//     per point; see pipeline.Core.RunSweep) once, then per point
+//     "collate" (the PMU walk over the memory-hierarchy and predictor
+//     statistics, annotated with the point's tally).
+//   - FidelityAtomic predicts each point from the workload's anchor runs
+//     (see atomic.go): "anchor" with one two-lane "anchor_pass" at the
+//     DVFS extremes when the cluster's cached anchors belong to another
+//     workload, then "predict" per point. Its Measurements are marked
+//     with their Fidelity.
+//
+// On sensored platforms every point ends with a "power" phase.
+//
+// The points are resolved in order. If one does not resolve (its
+// frequency is not in the cluster's DVFS table), RunSweep runs the points
+// before it and returns their Measurements with that point's error; an
+// unknown cluster, an invalid profile or an unknown tier fails the first
+// point.
+func (sc *SimContext) RunSweep(prof workload.Profile, cluster string, freqs []int, fid Fidelity, parent *obs.Span) ([]Measurement, error) {
+	return sc.sweep(prof, cluster, freqs, fid, false, parent, make([]Measurement, 0, len(freqs)))
+}
+
+// sweep is RunSweep appending to out; a detailed sweep with trace set (one
+// point) goes through the DVFS trace.
+func (sc *SimContext) sweep(prof workload.Profile, cluster string, freqs []int, fid Fidelity, trace bool, parent *obs.Span, out []Measurement) ([]Measurement, error) {
+	cl, err := sc.p.Cluster(cluster)
+	if err != nil {
+		return out, err
+	}
+	if err := prof.Validate(); err != nil {
+		return out, err
+	}
+	if !fid.Valid() {
+		return out, fmt.Errorf("platform: unknown fidelity %d", fid)
+	}
+	pts := sc.pts[:0]
+	var ptErr error
+	for _, f := range freqs {
+		volt, err := cl.Voltage(f)
+		if err != nil {
+			ptErr = err
+			break
+		}
+		pts = append(pts, point{prof: prof, cl: cl, freqMHz: f, volt: volt, ghz: float64(f) / 1000})
+	}
+	sc.pts = pts
+	if len(pts) == 0 {
+		return out, ptErr
+	}
+
+	switch fid {
+	case FidelityDetailed:
+		s, tallies := sc.simulate(pts, trace, parent)
+		for i, pt := range pts {
+			out = append(out, sc.measure(pt, collate(s, tallies[i], pt, parent), fid, parent))
+		}
+	case FidelityAtomic:
+		an, err := sc.anchors(cl, prof, parent)
+		if err != nil {
+			return out, err
+		}
+		for _, pt := range pts {
+			out = append(out, sc.measure(pt, predict(an, pt, parent), fid, parent))
+		}
+	}
+	return out, ptErr
+}
+
+// simulate runs the sweep's points through the detailed timing model in
+// one pass, one lane per point, and returns the cluster state it ran on
+// and the lanes' tallies.
+func (sc *SimContext) simulate(pts []point, trace bool, parent *obs.Span) (*clusterSim, []pipeline.Tally) {
 	sp := parent.Child("expand")
+	pt := pts[0]
 	s := sc.sim(pt.cl, pt.prof, pt.ghz)
 	hier := s.hier
-	// The reusing context replays the cached expansion and arms DVFS
-	// trace replay when it just simulated the same workload on this
-	// cluster (at another frequency); otherwise it records.
+	clocks := sc.clocks[:0]
+	for _, p := range pts {
+		clocks = append(clocks, hier.ClockAt(p.ghz))
+	}
+	sc.clocks = clocks
+	if cap(sc.tallies) < len(pts) {
+		sc.tallies = make([]pipeline.Tally, len(pts))
+	}
+	tallies := sc.tallies[:len(pts)]
+	// The transient context hands the generator straight to the core. The
+	// reusing one replays the cached expansion, and a traced run there
+	// arms DVFS trace replay when the cluster's trace holds the same
+	// workload (from another frequency), and records otherwise.
 	var stream isa.Stream
-	replaying, tracing := false, sc.sims != nil
-	if tracing {
-		stream = &packedStream{insts: sc.expand(pt.prof)}
-		if s.traceOK && s.traceProf == pt.prof {
-			replaying = hier.BeginTraceReplay(&s.trace)
-		} else {
-			s.traceOK = false
-			hier.BeginTraceRecord(&s.trace)
-		}
-	} else {
+	replaying, recording := false, false
+	if sc.sims == nil {
 		stream = workload.NewGenerator(pt.prof)
+	} else {
+		stream = &packedStream{insts: sc.expand(pt.prof)}
+		if trace {
+			if s.traceOK && s.traceProf == pt.prof {
+				replaying = hier.BeginTraceReplay(&s.trace)
+			} else {
+				s.traceOK = false
+				hier.BeginTraceRecord(&s.trace)
+				recording = true
+			}
+		}
 	}
 	sp.End()
 
 	sp = parent.Child("pipeline")
-	tally := s.core.Run(sc.wrap(stream))
+	s.core.RunSweep(sc.wrap(stream), clocks, tallies)
 	if replaying {
 		hier.EndTraceReplay()
-	} else if tracing {
+	} else if recording {
 		hier.EndTraceRecord()
 		if s.trace.Valid() {
 			s.traceProf = pt.prof
@@ -260,17 +325,23 @@ func (sc *SimContext) simulate(pt point, parent *obs.Span) pmu.Sample {
 	// Attributes are built only on traced runs; boxing them on every
 	// untraced run was a measurable slice of campaign allocations.
 	if sp != nil {
-		sp.Annotate(obs.Uint64("cycles", tally.Cycles), obs.Uint64("insts", tally.Committed),
-			obs.Float64("ipc", tally.IPC()),
-			obs.Uint64("mem_stall_cycles", tally.MemStallCycles),
-			obs.Uint64("branch_stall_cycles", tally.BranchStallCycles))
+		sp.Annotate(obs.Int("lanes", len(pts)), obs.Uint64("insts", tallies[0].Committed))
 		sp.End()
 	}
+	return s, tallies
+}
 
-	sp = parent.Child("collate")
-	sample := pmu.Capture(tally, hier, s.pred, pt.ghz)
+// collate captures one point's PMU sample from its lane's tally and the
+// cluster's (frequency-invariant) hierarchy and predictor statistics.
+func collate(s *clusterSim, tally pipeline.Tally, pt point, parent *obs.Span) pmu.Sample {
+	sp := parent.Child("collate")
+	sample := pmu.Capture(tally, s.hier, s.pred, pt.ghz)
 	if sp != nil {
-		sp.Annotate(obs.Uint64("l1d_misses", sample.L1D.Misses()),
+		sp.Annotate(obs.Int("freq_mhz", pt.freqMHz),
+			obs.Uint64("cycles", tally.Cycles), obs.Float64("ipc", tally.IPC()),
+			obs.Uint64("mem_stall_cycles", tally.MemStallCycles),
+			obs.Uint64("branch_stall_cycles", tally.BranchStallCycles),
+			obs.Uint64("l1d_misses", sample.L1D.Misses()),
 			obs.Uint64("l2_misses", sample.L2.Misses()))
 		sp.End()
 	}

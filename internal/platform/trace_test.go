@@ -39,18 +39,18 @@ func TestRunTracedPhases(t *testing.T) {
 		}
 	}
 
-	// The pipeline phase carries the tally attributes.
-	var pipelineAttrs map[string]any
+	// The collate phase carries the point's tally attributes.
+	var collateAttrs map[string]any
 	for _, ev := range events {
-		if ev.Name == "pipeline" {
-			pipelineAttrs = map[string]any{}
+		if ev.Name == "collate" {
+			collateAttrs = map[string]any{}
 			for _, a := range ev.Attrs {
-				pipelineAttrs[a.Key] = a.Value
+				collateAttrs[a.Key] = a.Value
 			}
 		}
 	}
-	if c, ok := pipelineAttrs["cycles"].(int64); !ok || c <= 0 {
-		t.Fatalf("pipeline cycles attr = %v", pipelineAttrs["cycles"])
+	if c, ok := collateAttrs["cycles"].(int64); !ok || c <= 0 {
+		t.Fatalf("collate cycles attr = %v", collateAttrs["cycles"])
 	}
 
 	// The run span must dominate its phases.
@@ -64,18 +64,23 @@ func TestRunTracedPhases(t *testing.T) {
 }
 
 // TestAtomicTracedPhases pins the atomic tier's trace: the first point
-// of a sweep records the anchor runs ("anchor" with one "anchor_pass" per
-// DVFS extreme) before "predict" and "power"; a second frequency of the
-// same sweep reuses the cached anchors and records only "predict" and
-// "power".
+// of a sweep records the anchor run ("anchor" with one two-lane
+// "anchor_pass" carrying both DVFS extremes) before "predict" and
+// "power"; a second frequency of the same sweep reuses the cached anchors
+// and records only "predict" and "power".
 func TestAtomicTracedPhases(t *testing.T) {
-	sc := platform.NewSimContext(hw.Platform())
+	board := hw.Platform()
+	cl, err := board.Cluster(hw.ClusterA15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := platform.NewSimContext(board)
 	prof := mustProfile(t, "dhrystone")
 	for _, tc := range []struct {
 		freq int
 		want []string
 	}{
-		{1000, []string{"run", "anchor", "anchor_pass", "anchor_pass", "predict", "power"}},
+		{1000, []string{"run", "anchor", "anchor_pass", "predict", "power"}},
 		{1400, []string{"run", "predict", "power"}},
 	} {
 		tr := obs.NewTracer()
@@ -112,6 +117,16 @@ func TestAtomicTracedPhases(t *testing.T) {
 		}
 		if a, ok := byName["anchor"]; ok && byName["predict"].Start < a.Start+a.Dur {
 			t.Fatalf("%d MHz: predict starts before the anchor runs end", tc.freq)
+		}
+		if pass, ok := byName["anchor_pass"]; ok {
+			freqs := map[string]any{}
+			for _, a := range pass.Attrs {
+				freqs[a.Key] = a.Value
+			}
+			lo, hi := int64(cl.DVFS[0].FreqMHz), int64(cl.DVFS[len(cl.DVFS)-1].FreqMHz)
+			if freqs["lo_mhz"] != lo || freqs["hi_mhz"] != hi {
+				t.Fatalf("%d MHz: anchor_pass frequencies %v, want lo %d and hi %d", tc.freq, freqs, lo, hi)
+			}
 		}
 		attrs := map[string]any{}
 		for _, a := range byName["power"].Attrs {
