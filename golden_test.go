@@ -1,9 +1,9 @@
 // Golden equivalence tests for the batched hot loop: every fast path the
-// simulator grew — block instruction delivery, per-worker state reuse and
-// DVFS trace replay — must be invisible in the results. Each test drives
-// the same runs through a fast path and its reference path and requires
-// the full Measurement (pmu.Sample included) to be identical, field for
-// field.
+// simulator grew — packed block instruction delivery, per-worker state
+// reuse and the replay of a kept phase-A event log at another frequency —
+// must be invisible in the results. Each test drives the same runs through
+// a fast path and its reference path and requires the full Measurement
+// (pmu.Sample included) to be identical, field for field.
 package gemstone_test
 
 import (
@@ -16,8 +16,8 @@ import (
 )
 
 // goldenFreqs returns the slowest and fastest DVFS points of a cluster —
-// the extremes bound the integer latency tables and the trace-replay
-// frequency rescaling.
+// the extremes bound the integer latency tables, and the second replays
+// the first's event log at the other end of the DVFS table.
 func goldenFreqs(t *testing.T, pl *platform.Platform, cluster string) []int {
 	t.Helper()
 	cl, err := pl.Cluster(cluster)
@@ -40,12 +40,12 @@ func goldenFreqs(t *testing.T, pl *platform.Platform, cluster string) []int {
 }
 
 // TestGoldenScalarBlockEquivalence runs every suite workload on both
-// clusters at the min and max DVFS points through three independent
-// paths — a fresh Platform.Run per measurement, a reused SimContext on
-// the batched block-stream path (which also exercises Reset reuse and
-// DVFS trace replay across the two frequencies), and a reused SimContext
-// forced onto the scalar Next() path — and requires bit-identical
-// Measurements from all three.
+// clusters at the min and max DVFS points through two independent paths
+// — a fresh Platform.Run per measurement, with the generator handed
+// straight to the core, and a reused SimContext replaying its packed
+// expansion a block at a time (which also exercises Reset reuse and, at
+// the second frequency, the replay of the first's event log) — and
+// requires bit-identical Measurements from both.
 func TestGoldenScalarBlockEquivalence(t *testing.T) {
 	pl := gemstone.HardwarePlatform()
 	profs := workload.All()
@@ -53,8 +53,6 @@ func TestGoldenScalarBlockEquivalence(t *testing.T) {
 		profs = profs[:6]
 	}
 	block := platform.NewSimContext(pl)
-	scalar := platform.NewSimContext(pl)
-	scalar.ScalarStreams = true
 
 	for _, cluster := range []string{hw.ClusterA7, hw.ClusterA15} {
 		freqs := goldenFreqs(t, pl, cluster)
@@ -72,14 +70,6 @@ func TestGoldenScalarBlockEquivalence(t *testing.T) {
 					t.Fatalf("%s/%s@%dMHz: block-stream SimContext diverged from fresh run\ngot:  %+v\nwant: %+v",
 						prof.Name, cluster, f, got, want)
 				}
-				got, err = scalar.Run(prof, cluster, f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("%s/%s@%dMHz: scalar-stream SimContext diverged from fresh run\ngot:  %+v\nwant: %+v",
-						prof.Name, cluster, f, got, want)
-				}
 			}
 		}
 	}
@@ -87,8 +77,9 @@ func TestGoldenScalarBlockEquivalence(t *testing.T) {
 
 // TestGoldenDVFSSweepReplayEquivalence sweeps one workload per suite
 // family across every DVFS point of each cluster with a reused
-// SimContext — so every point after the first replays the recorded
-// memory trace — and checks each measurement against a fresh run.
+// SimContext — so every point after the first replays the first's kept
+// phase-A event log on a timing lane of its own — and checks each
+// measurement against a fresh run.
 func TestGoldenDVFSSweepReplayEquivalence(t *testing.T) {
 	pl := gemstone.HardwarePlatform()
 	profs := workload.Validation()

@@ -161,10 +161,9 @@ type Stream interface {
 //
 // The contract is strict sequence equivalence: interleaving Next and
 // NextBlock calls in any order must drain the exact instruction sequence
-// the scalar Next path would produce. The timing models type-assert this
-// interface and fall back to Next when it is absent, so implementing it is
-// purely a performance optimisation — TestBlockStreamEquivalence pins the
-// equivalence for every suite workload.
+// the scalar Next path would produce. The timing models take a
+// BlockStream and read it a block at a time; TestBlockStreamEquivalence
+// pins the equivalence for every suite workload.
 type BlockStream interface {
 	Stream
 	NextBlock(buf []Inst) int

@@ -158,12 +158,6 @@ type Hierarchy struct {
 	monitorValid bool
 	monitorAddr  uint64
 
-	// DVFS trace state (see dvfstrace.go): mode, the armed trace and the
-	// replay cursor.
-	traceMode int
-	trace     *DVFSTrace
-	tracePos  int
-
 	// page-table region base for synthetic walk addresses
 	ptBase uint64
 }
@@ -225,8 +219,6 @@ func (h *Hierarchy) Reset() {
 	h.wcbTick = 0
 	h.monitorValid = false
 	h.monitorAddr = 0
-	h.traceMode = traceOff
-	h.trace = nil
 }
 
 // Config returns the hierarchy configuration.
@@ -320,20 +312,6 @@ func (h *Hierarchy) translate(addr uint64, l1 *TLB, l2 *TLB, walks *uint64) Late
 // Fetch charges one instruction-side access for the line containing pc
 // and returns its latency (L1I hit latency included).
 func (h *Hierarchy) Fetch(pc uint64) Latency {
-	if h.traceMode == traceReplay {
-		return h.replayNext()
-	}
-	lat := h.fetchAccess(pc)
-	if h.traceMode == traceRecord {
-		h.recordEntry(lat)
-	}
-	return lat
-}
-
-// FetchAccess is Fetch evaluated at the current clock, in cycles.
-func (h *Hierarchy) FetchAccess(pc uint64) int { return h.Fetch(pc).Cycles(h.clock) }
-
-func (h *Hierarchy) fetchAccess(pc uint64) Latency {
 	// Sequential fetch repeats the previous page and usually the previous
 	// line; both memo checks inline, so the common case does no calls
 	// beyond this one.
@@ -357,26 +335,13 @@ func (h *Hierarchy) fetchAccess(pc uint64) Latency {
 	return lat
 }
 
+// FetchAccess is Fetch evaluated at the current clock, in cycles.
+func (h *Hierarchy) FetchAccess(pc uint64) int { return h.Fetch(pc).Cycles(h.clock) }
+
 // Load charges one data load and returns its latency. Loads do not
 // disturb the streaming-store detector: a merging write buffer coalesces
 // store runs regardless of interleaved reads.
 func (h *Hierarchy) Load(addr uint64, unaligned bool) Latency {
-	if h.traceMode == traceReplay {
-		return h.replayNext()
-	}
-	lat := h.loadAccess(addr, unaligned)
-	if h.traceMode == traceRecord {
-		h.recordEntry(lat)
-	}
-	return lat
-}
-
-// LoadAccess is Load evaluated at the current clock, in cycles.
-func (h *Hierarchy) LoadAccess(addr uint64, unaligned bool) int {
-	return h.Load(addr, unaligned).Cycles(h.clock)
-}
-
-func (h *Hierarchy) loadAccess(addr uint64, unaligned bool) Latency {
 	lat := h.l1dLat
 	if !h.DTLB.lookupLast(addr >> PageShift) {
 		lat += h.translate(addr, h.DTLB, h.L2TLBD, &h.Stats.DTLBWalks)
@@ -408,6 +373,11 @@ func (h *Hierarchy) loadAccess(addr uint64, unaligned bool) Latency {
 		}
 	}
 	return lat
+}
+
+// LoadAccess is Load evaluated at the current clock, in cycles.
+func (h *Hierarchy) LoadAccess(addr uint64, unaligned bool) int {
+	return h.Load(addr, unaligned).Cycles(h.clock)
 }
 
 func (h *Hierarchy) l2WriteBack(addr uint64) {
@@ -460,22 +430,6 @@ func (h *Hierarchy) noteStore(addr uint64, size int) bool {
 // Store charges one data store and returns its visible latency (usually
 // small: stores retire through the store buffer).
 func (h *Hierarchy) Store(addr uint64, size int, unaligned bool) Latency {
-	if h.traceMode == traceReplay {
-		return h.replayNext()
-	}
-	lat := h.storeAccess(addr, size, unaligned)
-	if h.traceMode == traceRecord {
-		h.recordEntry(lat)
-	}
-	return lat
-}
-
-// StoreAccess is Store evaluated at the current clock, in cycles.
-func (h *Hierarchy) StoreAccess(addr uint64, size int, unaligned bool) int {
-	return h.Store(addr, size, unaligned).Cycles(h.clock)
-}
-
-func (h *Hierarchy) storeAccess(addr uint64, size int, unaligned bool) Latency {
 	lat := Latency(0)
 	if !h.DTLB.lookupLast(addr >> PageShift) {
 		lat = h.translate(addr, h.DTLB, h.L2TLBD, &h.Stats.DTLBWalks)
@@ -528,6 +482,11 @@ func (h *Hierarchy) storeAccess(addr uint64, size int, unaligned bool) Latency {
 	return lat
 }
 
+// StoreAccess is Store evaluated at the current clock, in cycles.
+func (h *Hierarchy) StoreAccess(addr uint64, size int, unaligned bool) int {
+	return h.Store(addr, size, unaligned).Cycles(h.clock)
+}
+
 // LoadExclusive performs a load-exclusive: a normal load that also arms the
 // local exclusive monitor.
 func (h *Hierarchy) LoadExclusive(addr uint64) Latency {
@@ -564,11 +523,6 @@ func (h *Hierarchy) Barrier() { h.Stats.Barriers++ }
 // refilled. This is the paper's Cluster A mechanism: branch mispredictions
 // drive L2 ITLB traffic.
 func (h *Hierarchy) WrongPathProbe(pc uint64) {
-	if h.traceMode == traceReplay {
-		// Probe effects (stats, L2 TLB LRU touches) are part of the
-		// recorded run; the restored snapshot carries them.
-		return
-	}
 	if !h.ITLB.Probe(pc) {
 		h.L2TLBI.Lookup(pc)
 	}
@@ -582,13 +536,6 @@ func (h *Hierarchy) InjectSnoop(addr uint64) bool {
 	line := addr &^ (h.l1dLine - 1)
 	if h.monitorValid && h.monitorAddr == line {
 		h.monitorValid = false
-	}
-	if h.traceMode == traceReplay {
-		// The invalidation's effect on later accesses is baked into the
-		// recorded outcomes; only the exclusive monitor must track live,
-		// because store-exclusive success is recomputed during replay.
-		// The return value is unused on the pipeline's snoop path.
-		return false
 	}
 	dirty, present := h.L1D.Invalidate(addr)
 	if dirty {

@@ -71,7 +71,7 @@ func TestRetireWidthBoundsThroughput(t *testing.T) {
 func TestUnpipelinedDivideOccupiesPort(t *testing.T) {
 	// Back-to-back independent divides serialise on the unpipelined
 	// divider; independent adds of the same latency would not.
-	mk := func(op isa.Op) isa.Stream {
+	mk := func(op isa.Op) isa.BlockStream {
 		insts := make([]isa.Inst, 2000)
 		for i := range insts {
 			r := uint8(2 + i%16)
@@ -93,7 +93,7 @@ func TestUnpipelinedDivideOccupiesPort(t *testing.T) {
 func TestFrontendRedirectGatesFetchAfterMispredict(t *testing.T) {
 	// A stream of always-mispredicted branches is bound by redirects:
 	// doubling MispredictPenalty must increase cycles accordingly.
-	mk := func() isa.Stream {
+	mk := func() isa.BlockStream {
 		insts := make([]isa.Inst, 0, 6000)
 		for i := 0; i < 3000; i++ {
 			taken := i%2 == 0 // alternating, gshare-hostile with PC reuse

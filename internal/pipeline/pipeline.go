@@ -20,12 +20,15 @@
 // each with its own scoreboard and structural state and its own DRAM cycle
 // pair. A whole DVFS sweep thus costs one memory-system simulation plus
 // one cheap timing pass per frequency; a single run (Core.Run) is the
-// sweep of one lane at the hierarchy's clock.
+// sweep of one lane at the hierarchy's clock. When a sweep's points
+// arrive one at a time, Core.Record keeps the first run's whole event log
+// and Core.Replay times each later point as one more lane over it.
 package pipeline
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"gemstone/internal/branch"
 	"gemstone/internal/isa"
@@ -188,6 +191,11 @@ type Core struct {
 	ev       []event
 	inLanes  []inOrderLane
 	oooLanes []oooLane
+
+	// kept is set while ev holds the whole event log of the last Record,
+	// and keptFE is that run's frontend state (see Replay).
+	kept   bool
+	keptFE frontend
 }
 
 // writesDst marks the instruction classes that write a destination register
@@ -241,41 +249,26 @@ func lanes[L any](buf *[]L, n int) []L {
 // blockSource resolves the fastest delivery path a stream supports once,
 // so the per-block refill is a single non-interface branch.
 type blockSource struct {
-	stream isa.Stream
-	bs     isa.BlockStream // non-nil: batched copy path
-	vs     isa.ViewStream  // non-nil: zero-copy view path
+	bs isa.BlockStream
+	vs isa.ViewStream // non-nil: zero-copy view path
 }
 
-func newBlockSource(stream isa.Stream) blockSource {
-	src := blockSource{stream: stream}
-	src.bs, _ = stream.(isa.BlockStream)
+func newBlockSource(stream isa.BlockStream) blockSource {
+	src := blockSource{bs: stream}
 	src.vs, _ = stream.(isa.ViewStream)
 	return src
 }
 
 // next returns the next run of instructions, or an empty slice at end of
 // stream. Views come straight from the stream's backing storage (no copy);
-// the batched and scalar paths fill the core's block buffer. By the
-// isa.BlockStream/ViewStream contracts all three paths drain the exact
-// same sequence, which the golden equivalence tests pin.
+// otherwise the stream fills the core's block buffer. By the
+// isa.ViewStream contract both paths drain the same sequence.
 func (src *blockSource) next(c *Core) []isa.Inst {
 	if src.vs != nil {
 		return src.vs.NextView(instBlockSize)
 	}
 	buf := c.block()
-	if src.bs != nil {
-		return buf[:src.bs.NextBlock(buf)]
-	}
-	n := 0
-	for n < len(buf) {
-		in, ok := src.stream.Next()
-		if !ok {
-			break
-		}
-		buf[n] = in
-		n++
-	}
-	return buf[:n]
+	return buf[:src.bs.NextBlock(buf)]
 }
 
 // NewCore builds a core, panicking on invalid configuration.
@@ -302,7 +295,7 @@ func (c *Core) Config() Config { return c.cfg }
 
 // Run executes the stream to completion at the hierarchy's clock and
 // returns the tally: RunSweep with one lane.
-func (c *Core) Run(stream isa.Stream) Tally {
+func (c *Core) Run(stream isa.BlockStream) Tally {
 	clocks := [1]mem.Clock{c.Hier.Clock()}
 	var out [1]Tally
 	c.RunSweep(stream, clocks[:], out[:])
@@ -314,57 +307,122 @@ func (c *Core) Run(stream isa.Stream) Tally {
 // len(clocks)). Each tally is bit-identical to a Run with the hierarchy
 // set to that lane's clock: the memory system, predictor and contention
 // model run once (phase A), in exactly Run's call order, and only the
-// timing arithmetic runs per lane (phase B).
-func (c *Core) RunSweep(stream isa.Stream, clocks []mem.Clock, out []Tally) {
+// timing arithmetic runs per lane (phase B). A sweep holds phase A's
+// events one block at a time, and drops the log a Record kept.
+func (c *Core) RunSweep(stream isa.BlockStream, clocks []mem.Clock, out []Tally) {
 	if len(out) != len(clocks) {
 		panic(fmt.Sprintf("pipeline: %d tallies for %d clocks", len(out), len(clocks)))
 	}
+	c.run(stream, clocks, out, false)
+}
+
+// Record is Run at clock clk that keeps the run's whole phase-A event log,
+// one 24-byte event per instruction, until the next RunSweep or Record.
+// Replay then times the same run at another clock without repeating
+// phase A. n is the stream's length: the log's storage is sized to it
+// once and kept for later recordings.
+func (c *Core) Record(stream isa.BlockStream, n int, clk mem.Clock) Tally {
+	if cap(c.ev) < n {
+		c.ev = make([]event, 0, n)
+	}
+	clocks := [1]mem.Clock{clk}
+	var out [1]Tally
+	c.run(stream, clocks[:], out[:], true)
+	return out[0]
+}
+
+// Replay times the log the last Record kept at clock clk: phase B alone,
+// one more lane of the recorded run, whose tally is bit-identical to a
+// Record of the same stream from the same starting state at clk. The
+// hierarchy, predictor and contention model are not touched, so their
+// statistics stay those of the recorded run, which no clock changes. ok
+// is false, and nothing runs, when no log is kept.
+func (c *Core) Replay(clk mem.Clock) (t Tally, ok bool) {
+	if !c.kept {
+		return Tally{}, false
+	}
+	clocks := [1]mem.Clock{clk}
+	var out [1]Tally
+	c.resetLanes(clocks[:])
+	c.timeBlock(c.ev, 1)
+	c.finish(&c.keptFE, out[:])
+	return out[0], true
+}
+
+// run is the two-phase kernel: phase A and then phase B on every lane,
+// one block at a time. With keep set the blocks' events accumulate into
+// the kept log; otherwise each block reuses the first block's storage.
+func (c *Core) run(stream isa.BlockStream, clocks []mem.Clock, out []Tally, keep bool) {
+	c.kept = false
 	var fe frontend
 	fe.reset(c)
-	inOrder := c.cfg.Kind == InOrder
-	var ins []inOrderLane
-	var ooos []oooLane
-	if inOrder {
-		ins = lanes(&c.inLanes, len(clocks))
-		for i := range ins {
-			ins[i].reset(clocks[i])
-		}
-	} else {
-		ooos = lanes(&c.oooLanes, len(clocks))
-		for i := range ooos {
-			ooos[i].reset(c, clocks[i])
-		}
+	c.resetLanes(clocks)
+	if cap(c.ev) < instBlockSize {
+		c.ev = make([]event, 0, instBlockSize)
 	}
-	if c.ev == nil {
-		c.ev = make([]event, instBlockSize)
-	}
-
+	log := c.ev[:0]
 	src := newBlockSource(stream)
 	for {
 		blk := src.next(c)
 		if len(blk) == 0 {
 			break
 		}
-		ev := c.ev[:len(blk)]
+		n := len(log)
+		log = slices.Grow(log, len(blk))[:n+len(blk)]
+		ev := log[n:]
 		c.frontBlock(&fe, blk, ev)
-		if inOrder {
-			for i := range ins {
-				c.inOrderBlock(&ins[i], ev)
-			}
-		} else {
-			for i := range ooos {
-				c.oooBlock(&ooos[i], ev)
-			}
+		c.timeBlock(ev, len(clocks))
+		if !keep {
+			log = log[:0]
 		}
 	}
+	c.ev = log
+	if keep {
+		c.kept, c.keptFE = true, fe
+	}
+	c.finish(&fe, out)
+}
 
+// resetLanes readies one timing lane per clock.
+func (c *Core) resetLanes(clocks []mem.Clock) {
+	if c.cfg.Kind == InOrder {
+		ins := lanes(&c.inLanes, len(clocks))
+		for i := range ins {
+			ins[i].reset(clocks[i])
+		}
+	} else {
+		ooos := lanes(&c.oooLanes, len(clocks))
+		for i := range ooos {
+			ooos[i].reset(c, clocks[i])
+		}
+	}
+}
+
+// timeBlock is phase B: it times ev on the first n lanes.
+func (c *Core) timeBlock(ev []event, n int) {
+	if c.cfg.Kind == InOrder {
+		for i := range c.inLanes[:n] {
+			c.inOrderBlock(&c.inLanes[i], ev)
+		}
+	} else {
+		for i := range c.oooLanes[:n] {
+			c.oooBlock(&c.oooLanes[i], ev)
+		}
+	}
+}
+
+// finish writes each lane's tally, with fe's frequency-invariant
+// counters, to out.
+func (c *Core) finish(fe *frontend, out []Tally) {
 	for i := range out {
-		if inOrder {
-			out[i] = ins[i].t
-			out[i].Cycles = max(ins[i].cycle, ins[i].lastComplete)
+		if c.cfg.Kind == InOrder {
+			l := &c.inLanes[i]
+			out[i] = l.t
+			out[i].Cycles = max(l.cycle, l.lastComplete)
 		} else {
-			out[i] = ooos[i].t
-			out[i].Cycles = ooos[i].lastRetire
+			l := &c.oooLanes[i]
+			out[i] = l.t
+			out[i].Cycles = l.lastRetire
 		}
 		fe.fill(&out[i])
 	}

@@ -136,7 +136,7 @@ func TestSerialChainBoundsIPCToOne(t *testing.T) {
 func TestOoOBeatsInOrderOnIndependentLoadMisses(t *testing.T) {
 	// Independent loads with large strides (cache misses) — the OoO window
 	// overlaps them, the in-order core serialises on use.
-	mkStream := func() isa.Stream {
+	mkStream := func() isa.BlockStream {
 		var insts []isa.Inst
 		for i := 0; i < 4000; i++ {
 			addr := uint64(i) * 4096 // new page+line every time: always miss
@@ -161,7 +161,7 @@ func TestOoOBeatsInOrderOnIndependentLoadMisses(t *testing.T) {
 func TestMispredictsCostCycles(t *testing.T) {
 	// Random 50/50 branches vs always-taken branches: the former must be
 	// slower on both models.
-	mkStream := func(random bool) isa.Stream {
+	mkStream := func(random bool) isa.BlockStream {
 		rng := xrand.New(5)
 		var insts []isa.Inst
 		taken := true
@@ -267,7 +267,7 @@ func TestCommittedMatchesStreamLength(t *testing.T) {
 }
 
 func TestPipelineDeterminism(t *testing.T) {
-	mk := func() isa.Stream {
+	mk := func() isa.BlockStream {
 		var insts []isa.Inst
 		for i := 0; i < 3000; i++ {
 			insts = append(insts, isa.Inst{
@@ -293,28 +293,7 @@ func TestPipelineDeterminism(t *testing.T) {
 // DRAM-missing loads and stores, branches, barriers and contended
 // exclusives — equals a fresh Run at that lane's clock.
 func TestRunSweepLanesMatchRun(t *testing.T) {
-	rng := xrand.New(7)
-	var insts []isa.Inst
-	for i := 0; i < 6000; i++ {
-		in := isa.Inst{PC: 0x1000 + uint64(i%512)*4, Src1: uint8(rng.Intn(16)), Src2: uint8(rng.Intn(16)), Dst: uint8(rng.Intn(16))}
-		switch r := rng.Intn(20); {
-		case r < 6:
-			in.Op, in.Addr, in.Size = isa.OpLoad, uint64(rng.Intn(1<<24))&^3, 4
-		case r < 9:
-			in.Op, in.Addr, in.Size = isa.OpStore, uint64(rng.Intn(1<<24))&^3, 4
-		case r < 12:
-			in.Op, in.Target, in.Taken = isa.OpBranch, 0x1000+uint64(rng.Intn(512))*4, rng.Bool(0.5)
-		case r == 12:
-			in.Op = isa.OpBarrier
-		case r == 13:
-			in.Op, in.Addr, in.Size = isa.OpLoadEx, 0x8000, 4
-		case r == 14:
-			in.Op, in.Addr, in.Size = isa.OpStoreEx, 0x8000, 4
-		default:
-			in.Op = isa.OpIntMul
-		}
-		insts = append(insts, in)
-	}
+	insts := mixedStream()
 	ghz := []float64{0.2, 1.0, 1.8}
 	for _, cfg := range []Config{inOrderConfig(), oooConfig()} {
 		sweep := newCore(cfg)
@@ -337,4 +316,66 @@ func TestRunSweepLanesMatchRun(t *testing.T) {
 			t.Fatalf("%s: a DRAM-bound stream takes fewer cycles at 0.2 GHz (%d) than at 1.8 GHz (%d)", cfg.Name, got[0].Cycles, got[2].Cycles)
 		}
 	}
+}
+
+// TestReplayMatchesRunSweep pins the kept event log on both core models:
+// replaying a Record's log at each clock equals that clock's lane of a
+// RunSweep over the same stream, and a RunSweep drops the log.
+func TestReplayMatchesRunSweep(t *testing.T) {
+	insts := mixedStream()
+	ghz := []float64{1.8, 0.2, 1.0}
+	for _, cfg := range []Config{inOrderConfig(), oooConfig()} {
+		sweep := newCore(cfg)
+		sweep.Sync = NewSyncModel(9, 0.05, 40, 0.2)
+		clocks := make([]mem.Clock, len(ghz))
+		for i, g := range ghz {
+			clocks[i] = sweep.Hier.ClockAt(g)
+		}
+		want := make([]Tally, len(ghz))
+		sweep.RunSweep(isa.NewSliceStream(insts), clocks, want)
+
+		rec := newCore(cfg)
+		rec.Sync = NewSyncModel(9, 0.05, 40, 0.2)
+		if got := rec.Record(isa.NewSliceStream(insts), len(insts), clocks[0]); got != want[0] {
+			t.Fatalf("%s: recorded run at %.1f GHz:\ngot:  %+v\nwant: %+v", cfg.Name, ghz[0], got, want[0])
+		}
+		for i := len(ghz) - 1; i >= 0; i-- {
+			got, ok := rec.Replay(clocks[i])
+			if !ok || got != want[i] {
+				t.Fatalf("%s: replay at %.1f GHz (kept %v):\ngot:  %+v\nwant: %+v", cfg.Name, ghz[i], ok, got, want[i])
+			}
+		}
+		rec.RunSweep(isa.NewSliceStream(insts[:100]), clocks[:1], want[:1])
+		if _, ok := rec.Replay(clocks[0]); ok {
+			t.Fatalf("%s: a RunSweep left the recorded log in place", cfg.Name)
+		}
+	}
+}
+
+// mixedStream is a stream of DRAM-missing loads and stores, branches,
+// barriers and contended exclusives.
+func mixedStream() []isa.Inst {
+	rng := xrand.New(7)
+	var insts []isa.Inst
+	for i := 0; i < 6000; i++ {
+		in := isa.Inst{PC: 0x1000 + uint64(i%512)*4, Src1: uint8(rng.Intn(16)), Src2: uint8(rng.Intn(16)), Dst: uint8(rng.Intn(16))}
+		switch r := rng.Intn(20); {
+		case r < 6:
+			in.Op, in.Addr, in.Size = isa.OpLoad, uint64(rng.Intn(1<<24))&^3, 4
+		case r < 9:
+			in.Op, in.Addr, in.Size = isa.OpStore, uint64(rng.Intn(1<<24))&^3, 4
+		case r < 12:
+			in.Op, in.Target, in.Taken = isa.OpBranch, 0x1000+uint64(rng.Intn(512))*4, rng.Bool(0.5)
+		case r == 12:
+			in.Op = isa.OpBarrier
+		case r == 13:
+			in.Op, in.Addr, in.Size = isa.OpLoadEx, 0x8000, 4
+		case r == 14:
+			in.Op, in.Addr, in.Size = isa.OpStoreEx, 0x8000, 4
+		default:
+			in.Op = isa.OpIntMul
+		}
+		insts = append(insts, in)
+	}
+	return insts
 }

@@ -162,7 +162,7 @@ func (sc *SimContext) anchorPass(cl ClusterConfig, anchor workload.Profile, loF,
 
 	var sums, t [2]pipeline.Tally
 	for i := 0; i < 3; i++ {
-		chunk := sc.wrap(&packedStream{insts: insts[bounds[i]:bounds[i+1]]})
+		chunk := &packedStream{insts: insts[bounds[i]:bounds[i+1]]}
 		s.core.RunSweep(chunk, clocks[:nl], t[:nl])
 		for k := 0; k < nl; k++ {
 			addTally(&sums[k], &t[k])

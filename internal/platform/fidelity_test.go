@@ -114,9 +114,8 @@ func TestAtomicErrorBound(t *testing.T) {
 // reused across sweeps must predict the Measurements a fresh context
 // predicts, bit for bit. (The only transient context, inside
 // Platform.Run, runs the detailed tier alone.) The reused context sweeps
-// workload A, then B, then A again, so its cached anchors, and the
-// per-cluster anchor traces it records them with, are replaced twice: a
-// stale trace replayed for another workload would show here. Each point
+// workload A, then B, then A again, so its cached anchors are replaced
+// twice: anchors kept for another workload would show here. Each point
 // is checked against a context that swept the same workload alone, and
 // the points of scratch also against a new context, whose anchors are
 // computed from scratch at that point: anchors corrupted while predicting

@@ -18,9 +18,10 @@ const fuzzInsts = 50_000
 // (workload.FuzzGenerator's parameters) and asserts that every
 // Measurement of a sweep equals a fresh Platform.Run of its point. pick
 // selects the platform, a parallel (contention-modelling) variant, and
-// two or three DVFS points per cluster in scrambled order. A sweep keeps
-// no DVFS trace, so an access whose latency decomposition would not fit a
-// trace entry must still time correctly on every lane.
+// two or three DVFS points per cluster in scrambled order. Every lane
+// reads each access's whole mem.Latency from its phase-A event, so an
+// access with a large fixed part or many DRAM accesses on its critical
+// path must still time correctly on every lane.
 func FuzzRunSweep(f *testing.F) {
 	for i, name := range []string{"dhrystone", "parsec-canneal-4", "lm-lat-mem-rd"} {
 		if p, err := workload.ByName(name); err == nil {

@@ -203,7 +203,8 @@ type Measurement struct {
 // Run executes the workload on the named cluster at freqMHz at the
 // detailed tier. It is the reference the reusing SimContext and its
 // sweeps are pinned against: fresh simulation state, the workload
-// generator handed straight to the core, one timing lane, no DVFS trace.
+// generator handed straight to the core, one timing lane, no kept event
+// log.
 // With a tracer attached (SetTracer) the run records a "run" root span
 // with the simulator phases as children (see SimContext.RunSweep).
 //

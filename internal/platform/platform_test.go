@@ -143,14 +143,15 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestSimContextReuseAllocs guards the reuse of a context's stream, DVFS
-// trace and timing lanes: the first sweeps of a tier grow them to fit, and
+// TestSimContextReuseAllocs guards the reuse of a context's stream, event
+// log and timing lanes: the first sweeps of a tier grow them to fit, and
 // once it has swept both workloads, sweeping either again allocates no new
 // storage. That holds for a sweep run point by point (RunFidelity, which
-// records and replays the trace) and for one RunSweep over every DVFS
-// point (one timing lane per point). Each such sweep may allocate up to
-// allocSlack, a run's small bookkeeping and the returned Measurements; any
-// stream or trace for these 240k-instruction workloads is larger.
+// records the core's event log and replays it) and for one RunSweep over
+// every DVFS point (one timing lane per point). Each such sweep may
+// allocate up to allocSlack, a run's small bookkeeping and the returned
+// Measurements; any stream or event log for these 240k-instruction
+// workloads is larger.
 func TestSimContextReuseAllocs(t *testing.T) {
 	const allocSlack = 64 << 10
 	pl := hw.Platform()
@@ -182,6 +183,29 @@ func TestSimContextReuseAllocs(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOnePointPerWorkloadKeepsNoLog guards the memory of a context that
+// runs one point per workload, as when a service primes one frequency of
+// its catalogue: it keeps no event log. Its runs may allocate the
+// expanded stream and the cluster's state, but less than half of one log
+// (24 bytes per instruction) besides.
+func TestOnePointPerWorkloadKeepsNoLog(t *testing.T) {
+	pl := hw.Platform()
+	a, b := mustProfile(t, "dhrystone"), mustProfile(t, "parsec-canneal-4")
+	sc := platform.NewSimContext(pl)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, prof := range []workload.Profile{a, b, a, b} {
+		if _, err := sc.Run(prof, hw.ClusterA15, 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	stream := uint64(a.MaxStreamLen()) * 16
+	if n, limit := after.TotalAlloc-before.TotalAlloc, stream+uint64(a.TotalInsts)*24/2; n > limit {
+		t.Errorf("four one-point runs of alternating workloads allocated %d bytes, limit %d", n, limit)
 	}
 }
 

@@ -21,17 +21,23 @@ type clusterSim struct {
 	pred *branch.Predictor
 	core *pipeline.Core
 
-	// DVFS trace of the most recently simulated RunFidelity on this
-	// cluster (see mem.DVFSTrace). A RunSweep shares its memory-system
-	// work across timing lanes instead and records no trace; points that
-	// arrive one run at a time (internal/dist dispatches per job) reuse it
-	// through the trace: the first run records the per-access latency
-	// decompositions, and later runs of the same workload at other
-	// frequencies replay them — bit-identical results at a fraction of the
-	// work.
-	trace     mem.DVFSTrace
-	traceProf workload.Profile
-	traceOK   bool
+	// logged is the workload whose phase-A event log the core keeps (see
+	// pipeline.Core.Record), or the zero Profile. A detailed RunFidelity
+	// records one (once keeps is set); points that arrive one run at a
+	// time (internal/dist dispatches per job) then replay it: a later
+	// point of the same workload runs only the timing lane at its clock,
+	// and collates the recorded run's hierarchy and predictor statistics,
+	// which no clock changes. sim() clears it, since it resets those
+	// statistics.
+	logged workload.Profile
+	// A log costs 24 bytes per instruction for as long as the context
+	// lives, so a cluster keeps logs only once two consecutive detailed
+	// RunFidelity calls have run the same workload (point is the last
+	// one's): its points then arrive as sweeps. A context that only ever
+	// sees one point per workload, as when a service primes one frequency
+	// of a catalogue, never holds one.
+	point workload.Profile
+	keeps bool
 
 	// Atomic-tier anchor cache (see atomic.go): the truncated detailed
 	// samples at the cluster's DVFS extremes for the most recently
@@ -63,8 +69,8 @@ type SimContext struct {
 	p *Platform
 	// sims holds the reused per-cluster state. It is nil only on the
 	// transient context inside Platform.Run, which reuses nothing: fresh
-	// state per run, the generator handed straight to the core, no DVFS
-	// trace.
+	// state per run, the generator handed straight to the core, no kept
+	// event log.
 	sims map[string]*clusterSim
 
 	// One-entry expanded-stream cache, keyed by the (comparable) Profile,
@@ -78,12 +84,6 @@ type SimContext struct {
 	pts     []point
 	clocks  []mem.Clock
 	tallies []pipeline.Tally
-
-	// ScalarStreams forces the timing models onto the scalar Next() path
-	// by hiding the BlockStream fast path of every stream handed to the
-	// core. It exists for the golden equivalence tests, which prove the
-	// batched and scalar paths produce bit-identical Measurements.
-	ScalarStreams bool
 }
 
 // NewSimContext returns a context that reuses per-cluster state and
@@ -94,12 +94,13 @@ func NewSimContext(p *Platform) *SimContext {
 
 // sim returns ready-to-run simulation state for cl: reset (or, the first
 // time and on the transient context, freshly built), clocked at ghz and
-// carrying prof's contention model.
+// carrying prof's contention model. It drops the cluster's event log.
 func (sc *SimContext) sim(cl ClusterConfig, prof workload.Profile, ghz float64) *clusterSim {
 	s, ok := sc.sims[cl.Name]
 	if ok {
 		s.hier.Reset()
 		s.pred.Reset()
+		s.logged = workload.Profile{}
 	} else {
 		hier := mem.NewHierarchy(cl.Hier)
 		pred := branch.New(cl.Branch)
@@ -152,21 +153,6 @@ func (sc *SimContext) expand(prof workload.Profile) []packedInst {
 	return sc.streamBuf
 }
 
-func (sc *SimContext) wrap(s isa.Stream) isa.Stream {
-	if sc.ScalarStreams {
-		return scalarStream{s}
-	}
-	return s
-}
-
-// scalarStream hides the BlockStream fast path of the underlying stream so
-// the timing models take the scalar Next fallback. Equivalence tests use
-// it to drive both delivery paths over identical sequences.
-type scalarStream struct{ s isa.Stream }
-
-// Next implements isa.Stream.
-func (s scalarStream) Next() (isa.Inst, bool) { return s.s.Next() }
-
 // Run executes the workload on the named cluster at freqMHz at the
 // detailed tier, reusing the context's simulation state. See Platform.Run
 // for the measurement semantics; results are bit-identical.
@@ -185,13 +171,16 @@ type point struct {
 
 // RunFidelity executes the workload on the named cluster at freqMHz at
 // the requested simulation tier: RunSweep of one point, for callers that
-// receive a sweep's points one at a time. On the reusing context its
-// detailed runs also record the DVFS trace, or replay it when the previous
-// RunFidelity on the cluster ran the same workload.
+// receive a sweep's points one at a time. On the reusing context a
+// detailed run keeps its phase-A event log in the cluster's core (once
+// the cluster's points arrive as sweeps; see clusterSim), and a later
+// point of the same workload on that cluster, with no other simulation
+// there in between, replays it: only the timing lane at its clock runs,
+// so its trace has a "pipeline" phase but no "expand".
 func (sc *SimContext) RunFidelity(prof workload.Profile, cluster string, freqMHz int, fid Fidelity, parent *obs.Span) (Measurement, error) {
 	freqs := [1]int{freqMHz}
 	var buf [1]Measurement
-	ms, err := sc.sweep(prof, cluster, freqs[:], fid, true, parent, buf[:0])
+	ms, err := sc.sweep(prof, cluster, freqs[:], fid, sc.sims != nil, parent, buf[:0])
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -226,9 +215,10 @@ func (sc *SimContext) RunSweep(prof workload.Profile, cluster string, freqs []in
 	return sc.sweep(prof, cluster, freqs, fid, false, parent, make([]Measurement, 0, len(freqs)))
 }
 
-// sweep is RunSweep appending to out; a detailed sweep with trace set (one
-// point) goes through the DVFS trace.
-func (sc *SimContext) sweep(prof workload.Profile, cluster string, freqs []int, fid Fidelity, trace bool, parent *obs.Span, out []Measurement) ([]Measurement, error) {
+// sweep is RunSweep appending to out; a detailed sweep with keep set (one
+// point, on the reusing context) records or replays the cluster's event
+// log.
+func (sc *SimContext) sweep(prof workload.Profile, cluster string, freqs []int, fid Fidelity, keep bool, parent *obs.Span, out []Measurement) ([]Measurement, error) {
 	cl, err := sc.p.Cluster(cluster)
 	if err != nil {
 		return out, err
@@ -256,7 +246,7 @@ func (sc *SimContext) sweep(prof workload.Profile, cluster string, freqs []int, 
 
 	switch fid {
 	case FidelityDetailed:
-		s, tallies := sc.simulate(pts, trace, parent)
+		s, tallies := sc.simulate(pts, keep, parent)
 		for i, pt := range pts {
 			out = append(out, sc.measure(pt, collate(s, tallies[i], pt, parent), fid, parent))
 		}
@@ -274,61 +264,67 @@ func (sc *SimContext) sweep(prof workload.Profile, cluster string, freqs []int, 
 
 // simulate runs the sweep's points through the detailed timing model in
 // one pass, one lane per point, and returns the cluster state it ran on
-// and the lanes' tallies.
-func (sc *SimContext) simulate(pts []point, trace bool, parent *obs.Span) (*clusterSim, []pipeline.Tally) {
-	sp := parent.Child("expand")
+// and the lanes' tallies. With keep set (one point) it replays the
+// cluster's event log when that log is of the same workload, and
+// otherwise records one if the cluster keeps logs (see clusterSim.point).
+func (sc *SimContext) simulate(pts []point, keep bool, parent *obs.Span) (*clusterSim, []pipeline.Tally) {
 	pt := pts[0]
-	s := sc.sim(pt.cl, pt.prof, pt.ghz)
-	hier := s.hier
-	clocks := sc.clocks[:0]
-	for _, p := range pts {
-		clocks = append(clocks, hier.ClockAt(p.ghz))
-	}
-	sc.clocks = clocks
 	if cap(sc.tallies) < len(pts) {
 		sc.tallies = make([]pipeline.Tally, len(pts))
 	}
 	tallies := sc.tallies[:len(pts)]
-	// The transient context hands the generator straight to the core. The
-	// reusing one replays the cached expansion, and a traced run there
-	// arms DVFS trace replay when the cluster's trace holds the same
-	// workload (from another frequency), and records otherwise.
-	var stream isa.Stream
-	replaying, recording := false, false
+	if s := sc.sims[pt.cl.Name]; keep && s != nil && s.logged == pt.prof {
+		sp := parent.Child("pipeline")
+		if t, ok := s.core.Replay(s.hier.ClockAt(pt.ghz)); ok {
+			tallies[0] = t
+			endPipeline(sp, tallies)
+			return s, tallies
+		}
+		sp.End()
+	}
+
+	sp := parent.Child("expand")
+	s := sc.sim(pt.cl, pt.prof, pt.ghz)
+	clocks := sc.clocks[:0]
+	for _, p := range pts {
+		clocks = append(clocks, s.hier.ClockAt(p.ghz))
+	}
+	sc.clocks = clocks
+	// The transient context hands the generator straight to the core; the
+	// reusing one replays the cached expansion.
+	var stream isa.BlockStream
+	var n int
 	if sc.sims == nil {
 		stream = workload.NewGenerator(pt.prof)
 	} else {
-		stream = &packedStream{insts: sc.expand(pt.prof)}
-		if trace {
-			if s.traceOK && s.traceProf == pt.prof {
-				replaying = hier.BeginTraceReplay(&s.trace)
-			} else {
-				s.traceOK = false
-				hier.BeginTraceRecord(&s.trace)
-				recording = true
-			}
-		}
+		insts := sc.expand(pt.prof)
+		stream, n = &packedStream{insts: insts}, len(insts)
 	}
 	sp.End()
 
 	sp = parent.Child("pipeline")
-	s.core.RunSweep(sc.wrap(stream), clocks, tallies)
-	if replaying {
-		hier.EndTraceReplay()
-	} else if recording {
-		hier.EndTraceRecord()
-		if s.trace.Valid() {
-			s.traceProf = pt.prof
-			s.traceOK = true
-		}
+	if keep {
+		s.keeps = s.keeps || s.point == pt.prof
+		s.point = pt.prof
 	}
-	// Attributes are built only on traced runs; boxing them on every
-	// untraced run was a measurable slice of campaign allocations.
+	if keep && s.keeps {
+		tallies[0] = s.core.Record(stream, n, clocks[0])
+		s.logged = pt.prof
+	} else {
+		s.core.RunSweep(stream, clocks, tallies)
+	}
+	endPipeline(sp, tallies)
+	return s, tallies
+}
+
+// endPipeline ends a "pipeline" span. Its attributes are built only on
+// traced runs; boxing them on every untraced run was a measurable slice
+// of campaign allocations.
+func endPipeline(sp *obs.Span, tallies []pipeline.Tally) {
 	if sp != nil {
-		sp.Annotate(obs.Int("lanes", len(pts)), obs.Uint64("insts", tallies[0].Committed))
+		sp.Annotate(obs.Int("lanes", len(tallies)), obs.Uint64("insts", tallies[0].Committed))
 		sp.End()
 	}
-	return s, tallies
 }
 
 // collate captures one point's PMU sample from its lane's tally and the

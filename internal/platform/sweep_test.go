@@ -17,9 +17,8 @@ import (
 // suite workload (parallel ones included, whose contention model draws
 // random numbers in phase A) on every cluster of the hardware and both
 // gem5 models, each Measurement of a one-pass sweep over the Experiment-1
-// grid equals a fresh Platform.Run of its point. The sweep runs once on
-// the batched path with the frequencies in descending order, and once in
-// ScalarStreams mode in ascending order. -short trims the workloads, and
+// grid equals a fresh Platform.Run of its point. The sweep runs with the
+// frequencies in descending order. -short trims the workloads, and
 // so does the race detector, which slows the simulator about tenfold and
 // has nothing to find in this single-goroutine test: it takes every third
 // workload.
@@ -35,9 +34,7 @@ func TestRunSweepMatchesPoints(t *testing.T) {
 		profs = every3
 	}
 	for _, pl := range []*platform.Platform{hw.Platform(), gem5.Platform(gem5.V1), gem5.Platform(gem5.V2)} {
-		batched := platform.NewSimContext(pl)
-		scalar := platform.NewSimContext(pl)
-		scalar.ScalarStreams = true
+		sc := platform.NewSimContext(pl)
 		for _, prof := range profs {
 			for _, cl := range pl.Config().Clusters {
 				freqs := hw.ExperimentFrequencies(cl.Name)
@@ -51,29 +48,66 @@ func TestRunSweepMatchesPoints(t *testing.T) {
 				}
 				descending := slices.Clone(freqs)
 				slices.Reverse(descending)
-				for _, tc := range []struct {
-					name  string
-					sc    *platform.SimContext
-					freqs []int
-				}{
-					{"descending", batched, descending},
-					{"scalar", scalar, freqs},
-				} {
-					got, err := tc.sc.RunSweep(prof, cl.Name, tc.freqs, platform.FidelityDetailed, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(got) != len(tc.freqs) {
-						t.Fatalf("%s: %s/%s sweep returned %d measurements for %d points", pl.Name(), prof.Name, cl.Name, len(got), len(tc.freqs))
-					}
-					for i, f := range tc.freqs {
-						if !reflect.DeepEqual(got[i], want[f]) {
-							t.Fatalf("%s: %s sweep of %s/%s@%dMHz differs from a fresh run\ngot:  %+v\nwant: %+v",
-								pl.Name(), tc.name, prof.Name, cl.Name, f, got[i], want[f])
-						}
+				got, err := sc.RunSweep(prof, cl.Name, descending, platform.FidelityDetailed, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(descending) {
+					t.Fatalf("%s: %s/%s sweep returned %d measurements for %d points", pl.Name(), prof.Name, cl.Name, len(got), len(descending))
+				}
+				for i, f := range descending {
+					if !reflect.DeepEqual(got[i], want[f]) {
+						t.Fatalf("%s: sweep of %s/%s@%dMHz differs from a fresh run\ngot:  %+v\nwant: %+v",
+							pl.Name(), prof.Name, cl.Name, f, got[i], want[f])
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestKeptLogInvalidation pins when a reused context may replay a
+// cluster's kept event log. The second of two consecutive per-point
+// detailed runs of one workload records its log and later points replay
+// it, but an atomic run of that workload on the cluster (its anchor pass
+// resets the hierarchy and runs the core) and a detailed run of another
+// workload there drop it, and a run on the other cluster leaves it alone.
+// Every detailed Measurement must equal a fresh Platform.Run of its
+// point.
+func TestKeptLogInvalidation(t *testing.T) {
+	pl := hw.Platform()
+	w, v := mustProfile(t, "dhrystone"), mustProfile(t, "parsec-canneal-4")
+	sc := platform.NewSimContext(pl)
+	for i, step := range []struct {
+		prof    workload.Profile
+		cluster string
+		freq    int
+		fid     platform.Fidelity
+	}{
+		{w, hw.ClusterA15, 600, platform.FidelityDetailed},
+		{w, hw.ClusterA15, 1000, platform.FidelityDetailed},
+		{w, hw.ClusterA15, 1800, platform.FidelityDetailed},
+		{w, hw.ClusterA15, 1000, platform.FidelityAtomic},
+		{w, hw.ClusterA15, 1400, platform.FidelityDetailed},
+		{v, hw.ClusterA15, 1400, platform.FidelityDetailed},
+		{w, hw.ClusterA15, 1800, platform.FidelityDetailed},
+		{w, hw.ClusterA7, 600, platform.FidelityDetailed},
+		{w, hw.ClusterA15, 600, platform.FidelityDetailed},
+	} {
+		got, err := sc.RunFidelity(step.prof, step.cluster, step.freq, step.fid, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if step.fid != platform.FidelityDetailed {
+			continue
+		}
+		want, err := pl.Run(step.prof, step.cluster, step.freq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("step %d, %s/%s@%dMHz: reused context differs from a fresh run\ngot:  %+v\nwant: %+v",
+				i, step.prof.Name, step.cluster, step.freq, got, want)
 		}
 	}
 }
