@@ -34,9 +34,13 @@ test:
 # tenants through `gemstone serve` with a worker killed mid-campaign),
 # admission control, spec fuzz seeds, and the dist concurrent-campaign
 # regression — everything under -race. -short trims campaign sizes and
-# skips the chaos soak; drop it for the full soak.
+# skips the chaos soak; drop it for the full soak. The queue-depth gauge
+# test then runs 20 more times: it checks the order in which a terminal
+# campaign moves two metrics, and a regression there fails only a few
+# percent of single runs.
 serve-test:
 	$(GO) test -race -short -count=1 ./internal/serve/ ./internal/dist/
+	$(GO) test -race -count=20 -run '^TestQueueDepthGauge$$' ./internal/serve/
 
 # Trace-overhead smoke: the same two-worker campaign traced and
 # untraced, interleaved best-of-5, asserting tracing stays within the

@@ -6,6 +6,7 @@ import (
 
 	"gemstone/internal/pmu"
 	"gemstone/internal/power"
+	"gemstone/internal/stats"
 )
 
 // EventReliability reports how faithfully the gem5 model reproduces one
@@ -74,8 +75,8 @@ func AssessEventReliability(hw, sim *RunSet, cluster string, freqMHz int,
 				rateAPEs = append(rateAPEs, absPct(hwRate, g5Count/secs))
 			}
 		}
-		er.RateMAPE = mean(rateAPEs)
-		er.TotalMAPE = mean(totAPEs)
+		er.RateMAPE = stats.Mean(rateAPEs)
+		er.TotalMAPE = stats.Mean(totAPEs)
 		out = append(out, er)
 	}
 	return out, nil
@@ -117,15 +118,4 @@ func absPct(ref, est float64) float64 {
 		return -pe
 	}
 	return pe
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

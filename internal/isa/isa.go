@@ -10,7 +10,10 @@
 // memory addresses and control-flow targets.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Op enumerates instruction classes. The classes mirror the granularity at
 // which the ARMv7 PMU and gem5 statistics distinguish operations.
@@ -145,62 +148,26 @@ type Inst struct {
 	Target uint64
 }
 
-// Stream supplies dynamic instructions to a timing model.
-//
-// Next returns the next instruction and true, or a zero Inst and false when
-// the stream is exhausted. Implementations must be deterministic: two
-// streams constructed with identical parameters must produce identical
-// sequences.
-type Stream interface {
-	Next() (Inst, bool)
-}
-
-// BlockStream is the batched fast path of Stream: NextBlock fills the
-// caller-owned buffer with the next instructions of the stream and returns
-// how many were delivered (0 at end of stream, never 0 before it).
-//
-// The contract is strict sequence equivalence: interleaving Next and
-// NextBlock calls in any order must drain the exact instruction sequence
-// the scalar Next path would produce. The timing models take a
-// BlockStream and read it a block at a time; TestBlockStreamEquivalence
-// pins the equivalence for every suite workload.
+// BlockStream supplies dynamic instructions to a timing model. NextBlock
+// fills the caller-owned buffer with the next instructions of the stream
+// and returns how many were delivered (0 at end of stream, never 0 before
+// it). Implementations must be deterministic: two streams constructed with
+// identical parameters deliver the identical sequence, whatever buffer
+// sizes their callers pass.
 type BlockStream interface {
-	Stream
 	NextBlock(buf []Inst) int
 }
 
-// ViewStream is the zero-copy extension of BlockStream for streams whose
-// remaining instructions are already materialised contiguously (replayed
-// expansions, test slices): NextView returns a read-only view of up to max
-// next instructions (the whole remainder when max <= 0) and advances the
-// stream past them. An empty view means end of stream. The same strict
-// sequence-equivalence contract as BlockStream applies; callers must not
-// retain or mutate the view past the next stream call.
-type ViewStream interface {
-	BlockStream
-	NextView(max int) []Inst
-}
-
-// SliceStream adapts a pre-generated instruction slice to the Stream
+// SliceStream adapts a pre-generated instruction slice to the BlockStream
 // interface. It is used heavily in tests and microbenchmarks.
 type SliceStream struct {
 	insts []Inst
 	pos   int
 }
 
-// NewSliceStream returns a Stream that replays insts once.
+// NewSliceStream returns a BlockStream that replays insts once.
 func NewSliceStream(insts []Inst) *SliceStream {
 	return &SliceStream{insts: insts}
-}
-
-// Next implements Stream.
-func (s *SliceStream) Next() (Inst, bool) {
-	if s.pos >= len(s.insts) {
-		return Inst{}, false
-	}
-	i := s.insts[s.pos]
-	s.pos++
-	return i, true
 }
 
 // NextBlock implements BlockStream: one bulk copy per block instead of an
@@ -211,35 +178,24 @@ func (s *SliceStream) NextBlock(buf []Inst) int {
 	return n
 }
 
-// NextView implements ViewStream: the remaining instructions are already
-// contiguous, so the view is the backing slice itself — no copy at all.
-func (s *SliceStream) NextView(max int) []Inst {
-	rem := s.insts[s.pos:]
-	if max > 0 && len(rem) > max {
-		rem = rem[:max]
-	}
-	s.pos += len(rem)
-	return rem
-}
-
-// Reset rewinds the stream to the beginning.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
-// Len returns the total number of instructions in the stream.
-func (s *SliceStream) Len() int { return len(s.insts) }
-
 // Collect drains up to max instructions from a stream into a slice.
-// A max of 0 means no limit.
-func Collect(s Stream, max int) []Inst {
+// A max of 0 means no limit. It never asks the stream for more than it
+// keeps, so a capped Collect leaves the rest of the stream unread.
+func Collect(s BlockStream, max int) []Inst {
 	var out []Inst
 	for {
-		if max > 0 && len(out) >= max {
+		want := 4096
+		if max > 0 {
+			want = min(want, max-len(out))
+			if want == 0 {
+				return out
+			}
+		}
+		out = slices.Grow(out, want)
+		n := s.NextBlock(out[len(out) : len(out)+want])
+		if n == 0 {
 			return out
 		}
-		in, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, in)
+		out = out[:len(out)+n]
 	}
 }

@@ -50,26 +50,26 @@ func TestOpString(t *testing.T) {
 func TestSliceStream(t *testing.T) {
 	insts := []Inst{{PC: 4}, {PC: 8}, {PC: 12}}
 	s := NewSliceStream(insts)
-	if s.Len() != 3 {
-		t.Fatal("len")
-	}
+	// A short buffer drains the stream across several blocks.
+	buf := make([]Inst, 2)
 	var got []Inst
-	for {
-		in, ok := s.Next()
-		if !ok {
-			break
-		}
-		got = append(got, in)
+	for n := s.NextBlock(buf); n > 0; n = s.NextBlock(buf) {
+		got = append(got, buf[:n]...)
 	}
-	if len(got) != 3 || got[2].PC != 12 {
+	if len(got) != 3 || got[0].PC != 4 || got[2].PC != 12 {
 		t.Fatalf("drained %v", got)
 	}
-	if _, ok := s.Next(); ok {
-		t.Fatal("exhausted stream must return false")
+	if n := s.NextBlock(buf); n != 0 {
+		t.Fatalf("exhausted stream delivered %d", n)
 	}
-	s.Reset()
-	if in, ok := s.Next(); !ok || in.PC != 4 {
-		t.Fatal("reset must rewind")
+
+	// A capped Collect reads no further than its cap.
+	s = NewSliceStream(insts)
+	if got := Collect(s, 2); len(got) != 2 || got[1].PC != 8 {
+		t.Fatalf("Collect(s, 2) = %v", got)
+	}
+	if n := s.NextBlock(buf); n != 1 || buf[0].PC != 12 {
+		t.Fatalf("after Collect(s, 2): NextBlock = %d %v, want the third instruction", n, buf[:n])
 	}
 }
 

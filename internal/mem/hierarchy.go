@@ -134,8 +134,6 @@ type Hierarchy struct {
 
 	Stats HierarchyStats
 
-	freqGHz float64
-
 	// Hot-path invariants hoisted out of the per-access loops: hit
 	// latencies and line geometry are configuration constants.
 	l1iLat, l1dLat, l2Lat Latency
@@ -143,8 +141,8 @@ type Hierarchy struct {
 	l1dWriteAlloc         bool
 	walkLat               Latency
 	walkAccesses          int
-	// clock is the DRAM cycle pair at freqGHz, which the int-returning
-	// entry points evaluate latencies with.
+	// clock is the DRAM cycle pair at the clock SetFrequencyGHz set last,
+	// which the int-returning entry points evaluate latencies with.
 	clock Clock
 
 	// Streaming-store detector: a small write-combining buffer tracking
@@ -168,15 +166,14 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		panic(err)
 	}
 	h := &Hierarchy{
-		cfg:     cfg,
-		L1I:     NewCache(cfg.L1I),
-		L1D:     NewCache(cfg.L1D),
-		L2:      NewCache(cfg.L2),
-		ITLB:    NewTLB(cfg.ITLB),
-		DTLB:    NewTLB(cfg.DTLB),
-		DRAM:    NewDRAM(cfg.DRAM),
-		freqGHz: 1.0,
-		ptBase:  0x7f00_0000_0000,
+		cfg:    cfg,
+		L1I:    NewCache(cfg.L1I),
+		L1D:    NewCache(cfg.L1D),
+		L2:     NewCache(cfg.L2),
+		ITLB:   NewTLB(cfg.ITLB),
+		DTLB:   NewTLB(cfg.DTLB),
+		DRAM:   NewDRAM(cfg.DRAM),
+		ptBase: 0x7f00_0000_0000,
 	}
 	if cfg.UnifiedL2TLB {
 		u := NewTLB(cfg.L2TLB)
@@ -198,11 +195,11 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 
 // Reset restores the hierarchy (every cache, TLB, the DRAM model, the
 // write-combining buffer, the exclusive monitor and all statistics) to its
-// just-constructed state without reallocating any storage. The current
-// frequency is retained; callers reconfiguring a reused hierarchy call
-// SetFrequencyGHz afterwards as they would after NewHierarchy. A Reset
-// hierarchy is indistinguishable from a fresh one — the SimContext reuse
-// path and the golden equivalence tests rely on exactly that.
+// just-constructed state without reallocating any storage. The clock the
+// int-returning entry points use (SetFrequencyGHz) is retained; the timing
+// models take theirs from ClockAt and never read it. A Reset hierarchy is
+// indistinguishable from a fresh one — the SimContext reuse path and the
+// golden equivalence tests rely on exactly that.
 func (h *Hierarchy) Reset() {
 	h.L1I.Reset()
 	h.L1D.Reset()
@@ -243,11 +240,7 @@ func (h *Hierarchy) ClockAt(ghz float64) Clock {
 // evaluate latencies at.
 func (h *Hierarchy) SetFrequencyGHz(ghz float64) {
 	h.clock = h.ClockAt(ghz)
-	h.freqGHz = ghz
 }
-
-// FrequencyGHz returns the current core clock.
-func (h *Hierarchy) FrequencyGHz() float64 { return h.freqGHz }
 
 // Clock returns the DRAM cycle pair at the current core clock.
 func (h *Hierarchy) Clock() Clock { return h.clock }

@@ -246,31 +246,6 @@ func lanes[L any](buf *[]L, n int) []L {
 	return (*buf)[:n]
 }
 
-// blockSource resolves the fastest delivery path a stream supports once,
-// so the per-block refill is a single non-interface branch.
-type blockSource struct {
-	bs isa.BlockStream
-	vs isa.ViewStream // non-nil: zero-copy view path
-}
-
-func newBlockSource(stream isa.BlockStream) blockSource {
-	src := blockSource{bs: stream}
-	src.vs, _ = stream.(isa.ViewStream)
-	return src
-}
-
-// next returns the next run of instructions, or an empty slice at end of
-// stream. Views come straight from the stream's backing storage (no copy);
-// otherwise the stream fills the core's block buffer. By the
-// isa.ViewStream contract both paths drain the same sequence.
-func (src *blockSource) next(c *Core) []isa.Inst {
-	if src.vs != nil {
-		return src.vs.NextView(instBlockSize)
-	}
-	buf := c.block()
-	return buf[:src.bs.NextBlock(buf)]
-}
-
 // NewCore builds a core, panicking on invalid configuration.
 func NewCore(cfg Config, hier *mem.Hierarchy, pred *branch.Predictor) *Core {
 	if err := cfg.Validate(); err != nil {
@@ -361,9 +336,9 @@ func (c *Core) run(stream isa.BlockStream, clocks []mem.Clock, out []Tally, keep
 		c.ev = make([]event, 0, instBlockSize)
 	}
 	log := c.ev[:0]
-	src := newBlockSource(stream)
+	buf := c.block()
 	for {
-		blk := src.next(c)
+		blk := buf[:stream.NextBlock(buf)]
 		if len(blk) == 0 {
 			break
 		}

@@ -147,7 +147,7 @@ func (sc *SimContext) anchorPass(cl ClusterConfig, anchor workload.Profile, loF,
 	defer sp.End()
 
 	loGHz, hiGHz := float64(loF)/1000, float64(hiF)/1000
-	s := sc.sim(cl, anchor, loGHz)
+	s := sc.sim(cl, anchor)
 	insts := sc.expand(anchor)
 	n := len(insts)
 	if n == 0 {

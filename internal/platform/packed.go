@@ -54,15 +54,6 @@ type packedStream struct {
 	pos   int
 }
 
-// Next implements isa.Stream.
-func (s *packedStream) Next() (isa.Inst, bool) {
-	var buf [1]isa.Inst
-	if s.NextBlock(buf[:]) == 0 {
-		return isa.Inst{}, false
-	}
-	return buf[0], true
-}
-
 // NextBlock implements isa.BlockStream.
 func (s *packedStream) NextBlock(buf []isa.Inst) int {
 	rem := s.insts[s.pos:]

@@ -93,9 +93,10 @@ func NewSimContext(p *Platform) *SimContext {
 }
 
 // sim returns ready-to-run simulation state for cl: reset (or, the first
-// time and on the transient context, freshly built), clocked at ghz and
-// carrying prof's contention model. It drops the cluster's event log.
-func (sc *SimContext) sim(cl ClusterConfig, prof workload.Profile, ghz float64) *clusterSim {
+// time and on the transient context, freshly built) and carrying prof's
+// contention model. It drops the cluster's event log. The caller clocks
+// the core through ClockAt.
+func (sc *SimContext) sim(cl ClusterConfig, prof workload.Profile) *clusterSim {
 	s, ok := sc.sims[cl.Name]
 	if ok {
 		s.hier.Reset()
@@ -109,7 +110,6 @@ func (sc *SimContext) sim(cl ClusterConfig, prof workload.Profile, ghz float64) 
 			sc.sims[cl.Name] = s
 		}
 	}
-	s.hier.SetFrequencyGHz(ghz)
 	s.core.Sync = nil
 	if prof.IsParallel() {
 		scale := cl.ContentionScale
@@ -284,7 +284,7 @@ func (sc *SimContext) simulate(pts []point, keep bool, parent *obs.Span) (*clust
 	}
 
 	sp := parent.Child("expand")
-	s := sc.sim(pt.cl, pt.prof, pt.ghz)
+	s := sc.sim(pt.cl, pt.prof)
 	clocks := sc.clocks[:0]
 	for _, p := range pts {
 		clocks = append(clocks, s.hier.ClockAt(p.ghz))

@@ -20,9 +20,9 @@ func allocBytes(f func()) uint64 {
 }
 
 // TestPackedStreamRoundTrip pins the packed expansion as lossless: for
-// every suite workload, replaying it through the batched and the scalar
-// path yields exactly the generator's instruction sequence. The odd block
-// size puts block boundaries everywhere in the stream.
+// every suite workload, replaying it a block at a time yields exactly the
+// generator's instruction sequence. The odd block size puts block
+// boundaries everywhere in the stream.
 func TestPackedStreamRoundTrip(t *testing.T) {
 	sc := NewSimContext(nil) // expansion needs no platform
 	block := make([]isa.Inst, 97)
@@ -38,16 +38,8 @@ func TestPackedStreamRoundTrip(t *testing.T) {
 			}
 			i += n
 		}
-		scalar := &packedStream{insts: packed}
-		j := 0
-		for in, ok := scalar.Next(); ok; in, ok = scalar.Next() {
-			if j >= len(want) || in != want[j] {
-				t.Fatalf("%s: scalar packed replay differs from the generator at instruction %d", prof.Name, j)
-			}
-			j++
-		}
-		if i != len(want) || j != len(want) {
-			t.Fatalf("%s: packed replays delivered %d and %d instructions, want %d", prof.Name, i, j, len(want))
+		if i != len(want) {
+			t.Fatalf("%s: packed replay delivered %d instructions, want %d", prof.Name, i, len(want))
 		}
 	}
 }

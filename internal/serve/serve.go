@@ -807,13 +807,14 @@ func (s *Server) runCampaign(c *Campaign) {
 // settle, so the gauge tracks "work the service still owes a client",
 // the quantity a load generator reconciles its own completion count
 // against. Counting first means a client that has seen the terminal
-// frame and then scrapes /metrics always finds its campaign counted.
+// frame and then scrapes /metrics always finds its campaign counted, and
+// so does a reader that sees the gauge drained and then reads the counter.
 func (s *Server) noteTerminal(tenant, outcome string) {
-	if s.mQueue != nil {
-		s.mQueue.Add(-1, tenant)
-	}
 	if s.mCampaigns != nil {
 		s.mCampaigns.Inc(tenant, outcome)
+	}
+	if s.mQueue != nil {
+		s.mQueue.Add(-1, tenant)
 	}
 }
 

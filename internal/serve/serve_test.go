@@ -1088,9 +1088,11 @@ func TestQueueDepthGauge(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if snap[`gemstone_serve_campaigns_total{tenant="alice",outcome="failed"}`] != 2 {
-		t.Errorf("alice failed count = %v, want 2",
-			snap[`gemstone_serve_campaigns_total{tenant="alice",outcome="failed"}`])
+	// Snapshot reads campaigns_total before queue_depth, so the snapshot
+	// that saw the drain may predate the last outcome's count; a fresh one
+	// cannot, because noteTerminal counts before it decrements.
+	if got := reg.Snapshot()[`gemstone_serve_campaigns_total{tenant="alice",outcome="failed"}`]; got != 2 {
+		t.Errorf("alice failed count = %v, want 2", got)
 	}
 	code, body = fetch(t, api.URL, "alice", "/v1/statusz")
 	if code != http.StatusOK {

@@ -6,7 +6,7 @@ import (
 )
 
 // Generator produces the deterministic dynamic instruction stream of one
-// workload. It implements isa.Stream.
+// workload. It implements isa.BlockStream.
 type Generator struct {
 	p   Profile
 	rng *xrand.RNG
@@ -103,26 +103,9 @@ func remainderALU(p Profile) float64 {
 	return r
 }
 
-// Profile returns the profile the generator was built from.
-func (g *Generator) Profile() Profile { return g.p }
-
-// Next implements isa.Stream.
-func (g *Generator) Next() (isa.Inst, bool) {
-	for g.bufPos >= len(g.buf) {
-		if g.emitted >= g.p.TotalInsts {
-			return isa.Inst{}, false
-		}
-		g.fill()
-	}
-	in := g.buf[g.bufPos]
-	g.bufPos++
-	g.emitted++
-	return in, true
-}
-
 // NextBlock implements isa.BlockStream: it drains whole basic blocks into
-// the caller's buffer with bulk copies, preserving the exact instruction
-// sequence (and termination point) of the scalar Next path.
+// the caller's buffer with bulk copies. The stream ends with the block
+// that reaches the profile's TotalInsts.
 func (g *Generator) NextBlock(out []isa.Inst) int {
 	n := 0
 	for n < len(out) {
