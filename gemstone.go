@@ -134,8 +134,8 @@ type (
 )
 
 // NewTracer returns an enabled span tracer. Pass it as
-// CollectOptions.Tracer (campaign phases + simulator phases per run) or
-// attach it to a Platform with SetTracer for direct Run calls.
+// CollectOptions.Tracer: it records the campaign phases and, under each
+// simulated sweep, the simulator phases.
 func NewTracer() *Tracer { return obs.NewTracer() }
 
 // NewMetricsRegistry returns an empty metrics registry.

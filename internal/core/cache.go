@@ -358,9 +358,6 @@ func NewNamespaceCache(ns string, inner RunCache) *NamespaceCache {
 	return &NamespaceCache{ns: ns, inner: inner}
 }
 
-// Namespace returns the namespace this view is scoped to.
-func (c *NamespaceCache) Namespace() string { return c.ns }
-
 // scope derives the namespaced key. Both fields are length-framed, so
 // (ns="a", key="bc") and (ns="ab", key="c") can never collide.
 func (c *NamespaceCache) scope(key string) string {

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"gemstone/internal/hw"
-	"gemstone/internal/pmu"
-	"gemstone/internal/workload"
 )
 
 func TestErrorConsistencyAcrossFrequencies(t *testing.T) {
@@ -30,36 +28,5 @@ func TestErrorConsistencyAcrossFrequencies(t *testing.T) {
 		if p.Spearman < 0.6 {
 			t.Fatalf("rank correlation %.2f too weak for %d/%d", p.Spearman, p.FreqA, p.FreqB)
 		}
-	}
-}
-
-func TestCharacterizePMCsMultiplexing(t *testing.T) {
-	prof, err := workload.ByName("dhrystone")
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := pmu.AllEvents()
-	counts, err := CharacterizePMCs(hw.Platform(), prof, hw.ClusterA15, 1000, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(counts) != len(events) {
-		t.Fatalf("characterised %d events, want %d", len(counts), len(events))
-	}
-	// The merged counts agree with a single fully-instrumented run (the
-	// property a deterministic platform guarantees and real campaigns
-	// approximate with medians).
-	m, err := hw.Platform().Run(prof, hw.ClusterA15, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range events {
-		if counts[e] != m.Sample.Value(e) {
-			t.Fatalf("event %s: multiplexed %v != direct %v", e, counts[e], m.Sample.Value(e))
-		}
-	}
-	// Bookkeeping matches the planner.
-	if want := RunsRequired(events); want < 8 {
-		t.Fatalf("characterising %d events should need several runs, got %d", len(events), want)
 	}
 }

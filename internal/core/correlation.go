@@ -183,14 +183,3 @@ func peSeries(hw, sim *RunSet, cluster string, freqMHz int, names []string) ([]f
 	}
 	return out, nil
 }
-
-// ClusterMembers returns the rows of group `label` (Fig. 5 helper).
-func ClusterMembers(rows []EventCorr, label int) []EventCorr {
-	var out []EventCorr
-	for _, r := range rows {
-		if r.Cluster == label {
-			out = append(out, r)
-		}
-	}
-	return out
-}

@@ -82,7 +82,6 @@ type Metrics struct {
 	mu        sync.Mutex
 	stats     CollectStats
 	platforms map[string]bool // every platform observed, for the label
-	running   int
 	lastDone  CollectStats
 }
 
@@ -128,11 +127,7 @@ func (m *Metrics) Platforms() []string {
 }
 
 // RunStart implements CollectObserver.
-func (m *Metrics) RunStart(RunKey) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.running++
-}
+func (m *Metrics) RunStart(RunKey) {}
 
 // CacheHit implements CollectObserver.
 func (m *Metrics) CacheHit(RunKey) {
@@ -145,7 +140,6 @@ func (m *Metrics) CacheHit(RunKey) {
 func (m *Metrics) RunDone(_ RunKey, _ platform.Measurement, simTime time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.running--
 	m.stats.Simulated++
 	m.stats.SimTime += simTime
 }
@@ -155,7 +149,6 @@ func (m *Metrics) RunDone(_ RunKey, _ platform.Measurement, simTime time.Duratio
 func (m *Metrics) RunError(_ RunKey, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.running--
 	if !errors.Is(err, ErrCutShort) {
 		m.stats.Errors++
 	}
@@ -185,13 +178,6 @@ func (m *Metrics) LastCampaign() CollectStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.lastDone
-}
-
-// InFlight reports runs currently simulating.
-func (m *Metrics) InFlight() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.running
 }
 
 // multiObserver fans callbacks out to several observers.

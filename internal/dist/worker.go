@@ -33,7 +33,7 @@ type WorkerConfig struct {
 // jobs workload-major but, unlike core.Collect's workers, which claim
 // whole workload groups (or whole sweeps when workloads are fewer than
 // workers), it still dispatches one job at a time, so a pooled context's
-// expanded stream and kept event log (a later point of the recorded
+// expanded stream and kept run (a later point of the recorded
 // workload and cluster runs only its timing lane) serve only when
 // consecutive jobs of a sweep happen to land on it. Claiming sweeps here
 // is the known follow-up.

@@ -131,13 +131,11 @@ func TestStatsEmission(t *testing.T) {
 		t.Fatal("FloatAdd must read zero (misclassified as SIMD)")
 	}
 
-	names := StatNames(&m.Sample)
-	if len(names) != len(stats) {
-		t.Fatal("StatNames length mismatch")
-	}
-	for i := 1; i < len(names); i++ {
-		if strings.Compare(names[i-1], names[i]) >= 0 {
-			t.Fatal("StatNames must be sorted and unique")
+	// Every name is one stats.txt token: WriteStatsFile writes "name value"
+	// lines and ParseStatsFile splits them on whitespace.
+	for name := range stats {
+		if name == "" || strings.ContainsAny(name, " \t\n#") {
+			t.Errorf("statistic name %q is not a single stats.txt token", name)
 		}
 	}
 }

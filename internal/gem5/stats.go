@@ -1,8 +1,6 @@
 package gem5
 
 import (
-	"sort"
-
 	"gemstone/internal/isa"
 	"gemstone/internal/pmu"
 )
@@ -196,16 +194,4 @@ func safeDiv(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-// StatNames returns the sorted statistic names Stats emits; the analysis
-// layer uses it to build the gem5-event matrix.
-func StatNames(s *pmu.Sample) []string {
-	m := Stats(s)
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

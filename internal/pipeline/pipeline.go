@@ -21,8 +21,10 @@
 // pair. A whole DVFS sweep thus costs one memory-system simulation plus
 // one cheap timing pass per frequency; a single run (Core.Run) is the
 // sweep of one lane at the hierarchy's clock. When a sweep's points
-// arrive one at a time, Core.Record keeps the first run's whole event log
-// and Core.Replay times each later point as one more lane over it.
+// arrive one at a time, Core.Record writes the first run's whole event
+// log into a Log the caller owns, and Core.Replay times each later point
+// as one more lane over it. A Log is a value: no later run of the core
+// changes it, so it stays valid for as long as its owner keeps it.
 package pipeline
 
 import (
@@ -183,19 +185,22 @@ type Core struct {
 	// op so the timing loops need no bounds check.
 	latTab, busyTab [256]uint64
 
-	// Run-loop scratch reused across runs: the block buffer, phase A's
-	// events and the timing lanes. Every lane is reset at the start of a
-	// run, so a reused Core produces output identical to a fresh one;
-	// reuse only removes the per-run allocations.
+	// Run-loop scratch reused across runs: the block buffer, one block of
+	// phase A's events and the timing lanes. Every lane is reset at the
+	// start of a run, so a reused Core produces output identical to a
+	// fresh one; reuse only removes the per-run allocations.
 	blk      []isa.Inst
 	ev       []event
 	inLanes  []inOrderLane
 	oooLanes []oooLane
+}
 
-	// kept is set while ev holds the whole event log of the last Record,
-	// and keptFE is that run's frontend state (see Replay).
-	kept   bool
-	keptFE frontend
+// Log is one recorded run (see Core.Record): its whole phase-A event log,
+// one 24-byte event per instruction, and its frequency-invariant tally
+// counters. The zero Log is an empty run. Record reuses a Log's storage.
+type Log struct {
+	ev []event
+	fe frontend
 }
 
 // writesDst marks the instruction classes that write a destination register
@@ -283,77 +288,73 @@ func (c *Core) Run(stream isa.BlockStream) Tally {
 // set to that lane's clock: the memory system, predictor and contention
 // model run once (phase A), in exactly Run's call order, and only the
 // timing arithmetic runs per lane (phase B). A sweep holds phase A's
-// events one block at a time, and drops the log a Record kept.
+// events one block at a time.
 func (c *Core) RunSweep(stream isa.BlockStream, clocks []mem.Clock, out []Tally) {
 	if len(out) != len(clocks) {
 		panic(fmt.Sprintf("pipeline: %d tallies for %d clocks", len(out), len(clocks)))
 	}
-	c.run(stream, clocks, out, false)
+	c.run(stream, clocks, out, nil)
 }
 
-// Record is Run at clock clk that keeps the run's whole phase-A event log,
-// one 24-byte event per instruction, until the next RunSweep or Record.
-// Replay then times the same run at another clock without repeating
-// phase A. n is the stream's length: the log's storage is sized to it
-// once and kept for later recordings.
-func (c *Core) Record(stream isa.BlockStream, n int, clk mem.Clock) Tally {
-	if cap(c.ev) < n {
-		c.ev = make([]event, 0, n)
+// Record is Run at clock clk that writes the run's whole phase-A event
+// log into log, replacing what it held. Replay then times the same run at
+// another clock without repeating phase A. n is the stream's length: the
+// log's storage is sized to it once and reused by later recordings.
+func (c *Core) Record(stream isa.BlockStream, n int, clk mem.Clock, log *Log) Tally {
+	if cap(log.ev) < n {
+		log.ev = make([]event, 0, n)
 	}
 	clocks := [1]mem.Clock{clk}
 	var out [1]Tally
-	c.run(stream, clocks[:], out[:], true)
+	c.run(stream, clocks[:], out[:], log)
 	return out[0]
 }
 
-// Replay times the log the last Record kept at clock clk: phase B alone,
-// one more lane of the recorded run, whose tally is bit-identical to a
-// Record of the same stream from the same starting state at clk. The
-// hierarchy, predictor and contention model are not touched, so their
-// statistics stay those of the recorded run, which no clock changes. ok
-// is false, and nothing runs, when no log is kept.
-func (c *Core) Replay(clk mem.Clock) (t Tally, ok bool) {
-	if !c.kept {
-		return Tally{}, false
-	}
+// Replay times log at clock clk: phase B alone, one more lane of the
+// recorded run, whose tally is bit-identical to a Record of the same
+// stream from the same starting state at clk. The log must have been
+// recorded by a core of the same Config. The hierarchy, predictor and
+// contention model are not touched.
+func (c *Core) Replay(log *Log, clk mem.Clock) Tally {
 	clocks := [1]mem.Clock{clk}
 	var out [1]Tally
 	c.resetLanes(clocks[:])
-	c.timeBlock(c.ev, 1)
-	c.finish(&c.keptFE, out[:])
-	return out[0], true
+	c.timeBlock(log.ev, 1)
+	c.finish(&log.fe, out[:])
+	return out[0]
 }
 
 // run is the two-phase kernel: phase A and then phase B on every lane,
-// one block at a time. With keep set the blocks' events accumulate into
-// the kept log; otherwise each block reuses the first block's storage.
-func (c *Core) run(stream isa.BlockStream, clocks []mem.Clock, out []Tally, keep bool) {
-	c.kept = false
+// one block at a time. With a log the blocks' events accumulate into it;
+// otherwise each block reuses the core's one-block scratch.
+func (c *Core) run(stream isa.BlockStream, clocks []mem.Clock, out []Tally, log *Log) {
 	var fe frontend
 	fe.reset(c)
 	c.resetLanes(clocks)
 	if cap(c.ev) < instBlockSize {
 		c.ev = make([]event, 0, instBlockSize)
 	}
-	log := c.ev[:0]
+	evs := c.ev[:0]
+	if log != nil {
+		evs = log.ev[:0]
+	}
 	buf := c.block()
 	for {
 		blk := buf[:stream.NextBlock(buf)]
 		if len(blk) == 0 {
 			break
 		}
-		n := len(log)
-		log = slices.Grow(log, len(blk))[:n+len(blk)]
-		ev := log[n:]
+		n := len(evs)
+		evs = slices.Grow(evs, len(blk))[:n+len(blk)]
+		ev := evs[n:]
 		c.frontBlock(&fe, blk, ev)
 		c.timeBlock(ev, len(clocks))
-		if !keep {
-			log = log[:0]
+		if log == nil {
+			evs = evs[:0]
 		}
 	}
-	c.ev = log
-	if keep {
-		c.kept, c.keptFE = true, fe
+	if log != nil {
+		log.ev, log.fe = evs, fe
 	}
 	c.finish(&fe, out)
 }

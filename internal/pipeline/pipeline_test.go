@@ -318,9 +318,10 @@ func TestRunSweepLanesMatchRun(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesRunSweep pins the kept event log on both core models:
+// TestReplayMatchesRunSweep pins the recorded log on both core models:
 // replaying a Record's log at each clock equals that clock's lane of a
-// RunSweep over the same stream, and a RunSweep drops the log.
+// RunSweep over the same stream, and still does after the recording core
+// has run an unrelated RunSweep.
 func TestReplayMatchesRunSweep(t *testing.T) {
 	insts := mixedStream()
 	ghz := []float64{1.8, 0.2, 1.0}
@@ -336,18 +337,21 @@ func TestReplayMatchesRunSweep(t *testing.T) {
 
 		rec := newCore(cfg)
 		rec.Sync = NewSyncModel(9, 0.05, 40, 0.2)
-		if got := rec.Record(isa.NewSliceStream(insts), len(insts), clocks[0]); got != want[0] {
+		var log Log
+		if got := rec.Record(isa.NewSliceStream(insts), len(insts), clocks[0], &log); got != want[0] {
 			t.Fatalf("%s: recorded run at %.1f GHz:\ngot:  %+v\nwant: %+v", cfg.Name, ghz[0], got, want[0])
 		}
 		for i := len(ghz) - 1; i >= 0; i-- {
-			got, ok := rec.Replay(clocks[i])
-			if !ok || got != want[i] {
-				t.Fatalf("%s: replay at %.1f GHz (kept %v):\ngot:  %+v\nwant: %+v", cfg.Name, ghz[i], ok, got, want[i])
+			if got := rec.Replay(&log, clocks[i]); got != want[i] {
+				t.Fatalf("%s: replay at %.1f GHz:\ngot:  %+v\nwant: %+v", cfg.Name, ghz[i], got, want[i])
 			}
 		}
-		rec.RunSweep(isa.NewSliceStream(insts[:100]), clocks[:1], want[:1])
-		if _, ok := rec.Replay(clocks[0]); ok {
-			t.Fatalf("%s: a RunSweep left the recorded log in place", cfg.Name)
+		var other [1]Tally
+		rec.RunSweep(isa.NewSliceStream(insts[:100]), clocks[:1], other[:])
+		for i := range ghz {
+			if got := rec.Replay(&log, clocks[i]); got != want[i] {
+				t.Fatalf("%s: replay at %.1f GHz after an unrelated RunSweep:\ngot:  %+v\nwant: %+v", cfg.Name, ghz[i], got, want[i])
+			}
 		}
 	}
 }

@@ -16,7 +16,11 @@ const fuzzInsts = 50_000
 
 // FuzzRunSweep drives the sweep lanes with arbitrary workload profiles
 // (workload.FuzzGenerator's parameters) and asserts that every
-// Measurement of a sweep equals a fresh Platform.Run of its point. pick
+// Measurement of a sweep equals a fresh Platform.Run of its point. The
+// same context then runs the points one at a time (RunFidelity), as a
+// remote worker receives them: the second point records the cluster's
+// kept run and later points replay it, and each must equal the sweep's
+// Measurement. pick
 // selects the platform, a parallel (contention-modelling) variant, and
 // two or three DVFS points per cluster in scrambled order. Every lane
 // reads each access's whole mem.Latency from its phase-A event, so an
@@ -86,6 +90,15 @@ func FuzzRunSweep(f *testing.F) {
 				}
 				if !reflect.DeepEqual(got[i], want) {
 					t.Fatalf("%s/%s@%dMHz: sweep lane differs from a fresh run\ngot:  %+v\nwant: %+v", pl.Name(), cl.Name, f, got[i], want)
+				}
+			}
+			for i, f := range freqs {
+				one, err := sc.RunFidelity(p, cl.Name, f, platform.FidelityDetailed, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(one, got[i]) {
+					t.Fatalf("%s/%s@%dMHz: per-point run %d differs from its sweep lane\ngot:  %+v\nwant: %+v", pl.Name(), cl.Name, f, i, one, got[i])
 				}
 			}
 		}

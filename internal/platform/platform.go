@@ -15,7 +15,6 @@ import (
 
 	"gemstone/internal/branch"
 	"gemstone/internal/mem"
-	"gemstone/internal/obs"
 	"gemstone/internal/pipeline"
 	"gemstone/internal/pmu"
 	"gemstone/internal/workload"
@@ -134,8 +133,7 @@ func (c Config) Validate() error {
 
 // Platform is a runnable system.
 type Platform struct {
-	cfg    Config
-	tracer *obs.Tracer
+	cfg Config
 }
 
 // New builds a platform, panicking on invalid configuration (platform
@@ -149,14 +147,6 @@ func New(cfg Config) *Platform {
 
 // Config returns the platform configuration.
 func (p *Platform) Config() Config { return p.cfg }
-
-// SetTracer attaches a span tracer: every subsequent Run records its
-// simulator phases (workload expansion, pipeline execution,
-// memory-hierarchy collation, power post-processing) as spans. A nil
-// tracer disables tracing; the instrumented paths then cost a pointer
-// check. SetTracer must not race with in-flight Run calls — attach the
-// tracer before the campaign starts.
-func (p *Platform) SetTracer(t *obs.Tracer) { p.tracer = t }
 
 // Name returns the platform name.
 func (p *Platform) Name() string { return p.cfg.Name }
@@ -203,23 +193,15 @@ type Measurement struct {
 // Run executes the workload on the named cluster at freqMHz at the
 // detailed tier. It is the reference the reusing SimContext and its
 // sweeps are pinned against: fresh simulation state, the workload
-// generator handed straight to the core, one timing lane, no kept event
-// log.
-// With a tracer attached (SetTracer) the run records a "run" root span
-// with the simulator phases as children (see SimContext.RunSweep).
+// generator handed straight to the core, one timing lane, no kept run.
+// It runs untraced; SimContext.RunFidelity records the same run's phases
+// under a parent span.
 //
 // Sensored platforms emulate the paper's measurement procedure: the
 // workload is repeated until it has exercised the CPU for at least 30
 // seconds of simulated time, and the on-board sensor (3.8 Hz) averages
 // power over that window while the thermal state evolves.
 func (p *Platform) Run(prof workload.Profile, cluster string, freqMHz int) (Measurement, error) {
-	// Without a parent span, open a root on the platform's tracer (a
-	// pointer-check no-op when no tracer is attached).
-	sp := p.tracer.Start("run",
-		obs.String("platform", p.cfg.Name), obs.String("workload", prof.Name),
-		obs.String("cluster", cluster), obs.Int("freq_mhz", freqMHz))
 	sc := SimContext{p: p} // transient: reuses nothing
-	m, err := sc.RunFidelity(prof, cluster, freqMHz, FidelityDetailed, sp)
-	sp.End()
-	return m, err
+	return sc.RunFidelity(prof, cluster, freqMHz, FidelityDetailed, nil)
 }

@@ -21,15 +21,19 @@ type clusterSim struct {
 	pred *branch.Predictor
 	core *pipeline.Core
 
-	// logged is the workload whose phase-A event log the core keeps (see
-	// pipeline.Core.Record), or the zero Profile. A detailed RunFidelity
-	// records one (once keeps is set); points that arrive one run at a
-	// time (internal/dist dispatches per job) then replay it: a later
-	// point of the same workload runs only the timing lane at its clock,
-	// and collates the recorded run's hierarchy and predictor statistics,
-	// which no clock changes. sim() clears it, since it resets those
-	// statistics.
-	logged workload.Profile
+	// kept is the cluster's recorded detailed run, once keeps is set: a
+	// per-point RunFidelity records one, and a later point of the same
+	// workload replays its log on one timing lane at its own clock (points
+	// that arrive one run at a time, as internal/dist dispatches them).
+	// It is a value no other run touches: sample is the PMU sample taken
+	// when it was recorded, and a replayed point takes it with its own
+	// tally and clock, since no clock changes the hierarchy and predictor
+	// statistics it holds. A zero prof keeps nothing.
+	kept struct {
+		prof   workload.Profile
+		log    pipeline.Log
+		sample pmu.Sample
+	}
 	// A log costs 24 bytes per instruction for as long as the context
 	// lives, so a cluster keeps logs only once two consecutive detailed
 	// RunFidelity calls have run the same workload (point is the last
@@ -70,7 +74,7 @@ type SimContext struct {
 	// sims holds the reused per-cluster state. It is nil only on the
 	// transient context inside Platform.Run, which reuses nothing: fresh
 	// state per run, the generator handed straight to the core, no kept
-	// event log.
+	// run.
 	sims map[string]*clusterSim
 
 	// One-entry expanded-stream cache, keyed by the (comparable) Profile,
@@ -94,14 +98,12 @@ func NewSimContext(p *Platform) *SimContext {
 
 // sim returns ready-to-run simulation state for cl: reset (or, the first
 // time and on the transient context, freshly built) and carrying prof's
-// contention model. It drops the cluster's event log. The caller clocks
-// the core through ClockAt.
+// contention model. The caller clocks the core through ClockAt.
 func (sc *SimContext) sim(cl ClusterConfig, prof workload.Profile) *clusterSim {
 	s, ok := sc.sims[cl.Name]
 	if ok {
 		s.hier.Reset()
 		s.pred.Reset()
-		s.logged = workload.Profile{}
 	} else {
 		hier := mem.NewHierarchy(cl.Hier)
 		pred := branch.New(cl.Branch)
@@ -172,11 +174,10 @@ type point struct {
 // RunFidelity executes the workload on the named cluster at freqMHz at
 // the requested simulation tier: RunSweep of one point, for callers that
 // receive a sweep's points one at a time. On the reusing context a
-// detailed run keeps its phase-A event log in the cluster's core (once
-// the cluster's points arrive as sweeps; see clusterSim), and a later
-// point of the same workload on that cluster, with no other simulation
-// there in between, replays it: only the timing lane at its clock runs,
-// so its trace has a "pipeline" phase but no "expand".
+// detailed run records itself as the cluster's kept run (once the
+// cluster's points arrive as sweeps; see clusterSim), and a later point
+// of the same workload on that cluster replays it: only the timing lane
+// at its clock runs, so its trace has a "pipeline" phase but no "expand".
 func (sc *SimContext) RunFidelity(prof workload.Profile, cluster string, freqMHz int, fid Fidelity, parent *obs.Span) (Measurement, error) {
 	freqs := [1]int{freqMHz}
 	var buf [1]Measurement
@@ -246,9 +247,9 @@ func (sc *SimContext) sweep(prof workload.Profile, cluster string, freqs []int, 
 
 	switch fid {
 	case FidelityDetailed:
-		s, tallies := sc.simulate(pts, keep, parent)
+		base, tallies := sc.simulate(pts, keep, parent)
 		for i, pt := range pts {
-			out = append(out, sc.measure(pt, collate(s, tallies[i], pt, parent), fid, parent))
+			out = append(out, sc.measure(pt, collate(&base, tallies[i], pt, parent), fid, parent))
 		}
 	case FidelityAtomic:
 		an, err := sc.anchors(cl, prof, parent)
@@ -263,24 +264,22 @@ func (sc *SimContext) sweep(prof workload.Profile, cluster string, freqs []int, 
 }
 
 // simulate runs the sweep's points through the detailed timing model in
-// one pass, one lane per point, and returns the cluster state it ran on
-// and the lanes' tallies. With keep set (one point) it replays the
-// cluster's event log when that log is of the same workload, and
-// otherwise records one if the cluster keeps logs (see clusterSim.point).
-func (sc *SimContext) simulate(pts []point, keep bool, parent *obs.Span) (*clusterSim, []pipeline.Tally) {
+// one pass, one lane per point, and returns the run's PMU sample of the
+// hierarchy and predictor statistics and the lanes' tallies. With keep set
+// (one point) it replays the cluster's kept run when that run is of the
+// same workload, and otherwise records one if the cluster keeps logs (see
+// clusterSim.point).
+func (sc *SimContext) simulate(pts []point, keep bool, parent *obs.Span) (pmu.Sample, []pipeline.Tally) {
 	pt := pts[0]
 	if cap(sc.tallies) < len(pts) {
 		sc.tallies = make([]pipeline.Tally, len(pts))
 	}
 	tallies := sc.tallies[:len(pts)]
-	if s := sc.sims[pt.cl.Name]; keep && s != nil && s.logged == pt.prof {
+	if s := sc.sims[pt.cl.Name]; keep && s != nil && s.kept.prof == pt.prof {
 		sp := parent.Child("pipeline")
-		if t, ok := s.core.Replay(s.hier.ClockAt(pt.ghz)); ok {
-			tallies[0] = t
-			endPipeline(sp, tallies)
-			return s, tallies
-		}
-		sp.End()
+		tallies[0] = s.core.Replay(&s.kept.log, s.hier.ClockAt(pt.ghz))
+		endPipeline(sp, tallies)
+		return s.kept.sample, tallies
 	}
 
 	sp := parent.Child("expand")
@@ -307,14 +306,18 @@ func (sc *SimContext) simulate(pts []point, keep bool, parent *obs.Span) (*clust
 		s.keeps = s.keeps || s.point == pt.prof
 		s.point = pt.prof
 	}
-	if keep && s.keeps {
-		tallies[0] = s.core.Record(stream, n, clocks[0])
-		s.logged = pt.prof
+	record := keep && s.keeps
+	if record {
+		tallies[0] = s.core.Record(stream, n, clocks[0], &s.kept.log)
 	} else {
 		s.core.RunSweep(stream, clocks, tallies)
 	}
 	endPipeline(sp, tallies)
-	return s, tallies
+	sample := pmu.Capture(pipeline.Tally{}, s.hier, s.pred, 0)
+	if record {
+		s.kept.prof, s.kept.sample = pt.prof, sample
+	}
+	return sample, tallies
 }
 
 // endPipeline ends a "pipeline" span. Its attributes are built only on
@@ -327,11 +330,13 @@ func endPipeline(sp *obs.Span, tallies []pipeline.Tally) {
 	}
 }
 
-// collate captures one point's PMU sample from its lane's tally and the
-// cluster's (frequency-invariant) hierarchy and predictor statistics.
-func collate(s *clusterSim, tally pipeline.Tally, pt point, parent *obs.Span) pmu.Sample {
+// collate is one point's PMU sample: base, the run's frequency-invariant
+// hierarchy and predictor statistics, with the point's lane tally and
+// clock.
+func collate(base *pmu.Sample, tally pipeline.Tally, pt point, parent *obs.Span) pmu.Sample {
 	sp := parent.Child("collate")
-	sample := pmu.Capture(tally, s.hier, s.pred, pt.ghz)
+	sample := *base
+	sample.Tally, sample.FreqGHz = tally, pt.ghz
 	if sp != nil {
 		sp.Annotate(obs.Int("freq_mhz", pt.freqMHz),
 			obs.Uint64("cycles", tally.Cycles), obs.Float64("ipc", tally.IPC()),

@@ -9,6 +9,7 @@ import (
 
 	"gemstone/internal/gem5"
 	"gemstone/internal/hw"
+	"gemstone/internal/obs"
 	"gemstone/internal/platform"
 	"gemstone/internal/workload"
 )
@@ -66,14 +67,14 @@ func TestRunSweepMatchesPoints(t *testing.T) {
 	}
 }
 
-// TestKeptLogInvalidation pins when a reused context may replay a
-// cluster's kept event log. The second of two consecutive per-point
-// detailed runs of one workload records its log and later points replay
-// it, but an atomic run of that workload on the cluster (its anchor pass
-// resets the hierarchy and runs the core) and a detailed run of another
-// workload there drop it, and a run on the other cluster leaves it alone.
-// Every detailed Measurement must equal a fresh Platform.Run of its
-// point.
+// TestKeptLogInvalidation pins when a reused context replays a cluster's
+// kept run. The second of two consecutive per-point detailed runs of one
+// workload records it and later points of that workload replay it, with
+// no "expand" phase in their traces. The kept run is a value: atomic runs,
+// a multi-point RunSweep of another workload on the cluster, and runs on
+// the other cluster leave it in place; only a per-point detailed run of
+// another workload there replaces it. Every detailed Measurement must
+// equal a fresh Platform.Run of its point.
 func TestKeptLogInvalidation(t *testing.T) {
 	pl := hw.Platform()
 	w, v := mustProfile(t, "dhrystone"), mustProfile(t, "parsec-canneal-4")
@@ -81,33 +82,54 @@ func TestKeptLogInvalidation(t *testing.T) {
 	for i, step := range []struct {
 		prof    workload.Profile
 		cluster string
-		freq    int
+		freqs   []int // one point runs through RunFidelity, more through RunSweep
 		fid     platform.Fidelity
+		replays bool
 	}{
-		{w, hw.ClusterA15, 600, platform.FidelityDetailed},
-		{w, hw.ClusterA15, 1000, platform.FidelityDetailed},
-		{w, hw.ClusterA15, 1800, platform.FidelityDetailed},
-		{w, hw.ClusterA15, 1000, platform.FidelityAtomic},
-		{w, hw.ClusterA15, 1400, platform.FidelityDetailed},
-		{v, hw.ClusterA15, 1400, platform.FidelityDetailed},
-		{w, hw.ClusterA15, 1800, platform.FidelityDetailed},
-		{w, hw.ClusterA7, 600, platform.FidelityDetailed},
-		{w, hw.ClusterA15, 600, platform.FidelityDetailed},
+		{w, hw.ClusterA15, []int{600}, platform.FidelityDetailed, false},
+		{w, hw.ClusterA15, []int{1000}, platform.FidelityDetailed, false},
+		{w, hw.ClusterA15, []int{1800}, platform.FidelityDetailed, true},
+		{w, hw.ClusterA15, []int{1000}, platform.FidelityAtomic, false},
+		{w, hw.ClusterA15, []int{1400}, platform.FidelityDetailed, true},
+		{v, hw.ClusterA15, []int{600, 1000, 1800}, platform.FidelityAtomic, false},
+		{v, hw.ClusterA15, []int{600, 1400, 1800}, platform.FidelityDetailed, false},
+		{w, hw.ClusterA15, []int{1400}, platform.FidelityDetailed, true},
+		{v, hw.ClusterA15, []int{1400}, platform.FidelityDetailed, false},
+		{w, hw.ClusterA15, []int{1800}, platform.FidelityDetailed, false},
+		{w, hw.ClusterA7, []int{600}, platform.FidelityDetailed, false},
+		{w, hw.ClusterA15, []int{600}, platform.FidelityDetailed, true},
 	} {
-		got, err := sc.RunFidelity(step.prof, step.cluster, step.freq, step.fid, nil)
+		tr := obs.NewTracer()
+		root := tr.Start("step")
+		var got []platform.Measurement
+		var err error
+		if len(step.freqs) == 1 {
+			var m platform.Measurement
+			m, err = sc.RunFidelity(step.prof, step.cluster, step.freqs[0], step.fid, root)
+			got = []platform.Measurement{m}
+		} else {
+			got, err = sc.RunSweep(step.prof, step.cluster, step.freqs, step.fid, root)
+		}
+		root.End()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if step.fid != platform.FidelityDetailed {
 			continue
 		}
-		want, err := pl.Run(step.prof, step.cluster, step.freq)
-		if err != nil {
-			t.Fatal(err)
+		expanded := slices.ContainsFunc(tr.Events(), func(ev obs.Event) bool { return ev.Name == "expand" })
+		if replayed := !expanded; replayed != step.replays {
+			t.Fatalf("step %d, %s/%s@%v: replayed %v, want %v", i, step.prof.Name, step.cluster, step.freqs, replayed, step.replays)
 		}
-		if got != want {
-			t.Fatalf("step %d, %s/%s@%dMHz: reused context differs from a fresh run\ngot:  %+v\nwant: %+v",
-				i, step.prof.Name, step.cluster, step.freq, got, want)
+		for k, f := range step.freqs {
+			want, err := pl.Run(step.prof, step.cluster, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[k] != want {
+				t.Fatalf("step %d, %s/%s@%dMHz: reused context differs from a fresh run\ngot:  %+v\nwant: %+v",
+					i, step.prof.Name, step.cluster, f, got[k], want)
+			}
 		}
 	}
 }

@@ -9,14 +9,15 @@ import (
 	"gemstone/internal/platform"
 )
 
-// TestRunTracedPhases attaches a tracer to a platform and asserts Run
-// records the run root plus every simulator phase, nested on one lane,
-// with the tally attributes the trace viewer surfaces.
+// TestRunTracedPhases asserts a context's first detailed run records
+// every simulator phase under its parent span, nested on one lane, with
+// the tally attributes the trace viewer surfaces.
 func TestRunTracedPhases(t *testing.T) {
-	board := hw.Platform()
 	tr := obs.NewTracer()
-	board.SetTracer(tr)
-	if _, err := board.Run(mustProfile(t, "dhrystone"), hw.ClusterA15, 1000); err != nil {
+	root := tr.Start("run")
+	_, err := platform.NewSimContext(hw.Platform()).RunFidelity(mustProfile(t, "dhrystone"), hw.ClusterA15, 1000, platform.FidelityDetailed, root)
+	root.End()
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,20 +142,24 @@ func TestAtomicTracedPhases(t *testing.T) {
 }
 
 // TestRunUntracedIdentical asserts tracing does not perturb the
-// simulation: with and without a tracer the measurement is identical
+// simulation: a traced run equals the untraced Platform.Run of its point
 // (tracing only observes; determinism is the engine's core contract).
 func TestRunUntracedIdentical(t *testing.T) {
 	prof := mustProfile(t, "dhrystone")
-	plain := hw.Platform()
-	m1, err := plain.Run(prof, hw.ClusterA15, 1000)
+	board := hw.Platform()
+	m1, err := board.Run(prof, hw.ClusterA15, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced := hw.Platform()
-	traced.SetTracer(obs.NewTracer())
-	m2, err := traced.Run(prof, hw.ClusterA15, 1000)
+	tr := obs.NewTracer()
+	root := tr.Start("run")
+	m2, err := platform.NewSimContext(board).RunFidelity(prof, hw.ClusterA15, 1000, platform.FidelityDetailed, root)
+	root.End()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(tr.Events()) < 2 {
+		t.Fatalf("traced run recorded %d spans", len(tr.Events()))
 	}
 	if m1 != m2 {
 		t.Fatal("traced run diverged from untraced run")

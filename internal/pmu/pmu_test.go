@@ -140,35 +140,3 @@ func TestCountsCoversAllEvents(t *testing.T) {
 		t.Fatalf("Counts() has %d entries, want %d", len(counts), len(AllEvents()))
 	}
 }
-
-func TestMultiplexPlan(t *testing.T) {
-	evs := AllEvents()
-	groups := Plan(evs)
-	total := 0
-	seen := map[Event]bool{}
-	for _, g := range groups {
-		if len(g) > CountersPerRun {
-			t.Fatalf("group size %d exceeds %d", len(g), CountersPerRun)
-		}
-		for _, e := range g {
-			if e == CPUCycles {
-				t.Fatal("CPU cycles must not occupy a programmable counter")
-			}
-			if seen[e] {
-				t.Fatalf("event %v planned twice", e)
-			}
-			seen[e] = true
-			total++
-		}
-	}
-	if total != len(evs)-1 { // minus CPUCycles
-		t.Fatalf("planned %d events, want %d", total, len(evs)-1)
-	}
-	if RunsNeeded(evs) != len(groups) {
-		t.Fatal("RunsNeeded mismatch")
-	}
-	// Duplicates collapse.
-	if n := RunsNeeded([]Event{InstRetired, InstRetired, BrPred}); n != 1 {
-		t.Fatalf("RunsNeeded with duplicates = %d, want 1", n)
-	}
-}

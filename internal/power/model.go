@@ -18,7 +18,6 @@ package power
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"gemstone/internal/pmu"
@@ -171,12 +170,4 @@ func (m *Model) String() string {
 		parts = append(parts, fmt.Sprintf("%.4g*V2r[%s]", m.Coef[i], e))
 	}
 	return fmt.Sprintf("P(%s) = %s", m.Cluster, strings.Join(parts, " + "))
-}
-
-// SortedEvents returns the model's events sorted by event number (for
-// stable display).
-func (m *Model) SortedEvents() []pmu.Event {
-	evs := append([]pmu.Event(nil), m.Events...)
-	sort.Slice(evs, func(i, j int) bool { return evs[i] < evs[j] })
-	return evs
 }

@@ -79,20 +79,6 @@ func betacf(a, b, x float64) float64 {
 	return h
 }
 
-// StudentTCDF returns P(T <= t) for Student's t distribution with df
-// degrees of freedom.
-func StudentTCDF(t, df float64) float64 {
-	if df <= 0 {
-		return math.NaN()
-	}
-	x := df / (df + t*t)
-	p := 0.5 * RegIncBeta(df/2, 0.5, x)
-	if t > 0 {
-		return 1 - p
-	}
-	return p
-}
-
 // TTestPValue returns the two-sided p-value for a t statistic with df
 // degrees of freedom.
 func TTestPValue(t, df float64) float64 {
@@ -100,13 +86,4 @@ func TTestPValue(t, df float64) float64 {
 		return math.NaN()
 	}
 	return RegIncBeta(df/2, 0.5, df/(df+t*t))
-}
-
-// FCDF returns P(F <= f) for the F distribution with d1 and d2 degrees of
-// freedom. Used for whole-model significance tests.
-func FCDF(f, d1, d2 float64) float64 {
-	if f <= 0 {
-		return 0
-	}
-	return RegIncBeta(d1/2, d2/2, d1*f/(d1*f+d2))
 }

@@ -30,18 +30,6 @@ type Fit struct {
 	Residuals []float64
 }
 
-// Predict returns the fitted value for one regressor row.
-func (f *Fit) Predict(x []float64) float64 {
-	if len(x) != len(f.Coef) {
-		panic(fmt.Sprintf("stats: predict with %d regressors, model has %d", len(x), len(f.Coef)))
-	}
-	s := 0.0
-	for i, c := range f.Coef {
-		s += c * x[i]
-	}
-	return s
-}
-
 // OLS fits y = X·β by ordinary least squares. X rows are observations;
 // callers include an explicit intercept column of ones if they want one.
 // It returns an error if the system is singular or under-determined.

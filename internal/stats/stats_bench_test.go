@@ -102,8 +102,8 @@ func BenchmarkStepwise(b *testing.B) {
 	}
 }
 
-func BenchmarkStudentTCDF(b *testing.B) {
+func BenchmarkTTestPValue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		StudentTCDF(2.2, 43)
+		TTestPValue(2.2, 43)
 	}
 }

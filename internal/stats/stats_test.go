@@ -80,23 +80,18 @@ func TestPearsonProperties(t *testing.T) {
 }
 
 func TestStudentTAgainstKnownValues(t *testing.T) {
-	// Reference values from standard t tables.
+	// Two-sided p-values at reference points of standard t tables.
 	cases := []struct{ tt, df, want float64 }{
-		{0, 10, 0.5},
-		{1.812, 10, 0.95},   // t_{0.95,10}
-		{2.228, 10, 0.975},  // t_{0.975,10}
-		{-2.228, 10, 0.025}, // symmetry
-		{1.96, 1e6, 0.975},  // approaches the normal
+		{0, 10, 1},
+		{1.812, 10, 0.10},  // t_{0.95,10}
+		{2.228, 10, 0.05},  // t_{0.975,10}
+		{-2.228, 10, 0.05}, // symmetry
+		{1.96, 1e6, 0.05},  // approaches the normal
 	}
 	for _, c := range cases {
-		got := StudentTCDF(c.tt, c.df)
-		if !almostEq(got, c.want, 2e-3) {
-			t.Errorf("StudentTCDF(%v, %v) = %v, want %v", c.tt, c.df, got, c.want)
+		if got := TTestPValue(c.tt, c.df); !almostEq(got, c.want, 2e-3) {
+			t.Errorf("TTestPValue(%v, %v) = %v, want %v", c.tt, c.df, got, c.want)
 		}
-	}
-	// Two-sided p-value at the 5% critical point.
-	if p := TTestPValue(2.228, 10); !almostEq(p, 0.05, 2e-3) {
-		t.Fatalf("p = %v, want 0.05", p)
 	}
 }
 
@@ -435,16 +430,6 @@ func TestStandardize(t *testing.T) {
 	Z := Standardize([][]float64{{5}, {5}, {5}})
 	if Z[0][0] != 0 || Z[1][0] != 0 {
 		t.Fatal("constant column must standardise to zeros")
-	}
-}
-
-func TestFCDF(t *testing.T) {
-	// Median of F(1, large) approaches the chi-square(1) median ~0.455.
-	if got := FCDF(0.455, 1, 1e6); !almostEq(got, 0.5, 5e-3) {
-		t.Fatalf("FCDF = %v", got)
-	}
-	if FCDF(0, 3, 4) != 0 {
-		t.Fatal("FCDF(0) must be 0")
 	}
 }
 

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Suites. The names mirror the paper's benchmark sources; prefixes match
 // the labels of Fig. 3 (mi-, par-, parsec-).
@@ -594,14 +591,4 @@ func ByName(name string) (Profile, error) {
 		}
 	}
 	return Profile{}, fmt.Errorf("workload: unknown workload %q", name)
-}
-
-// Names returns all workload names, sorted.
-func Names() []string {
-	names := make([]string, len(suite))
-	for i, p := range suite {
-		names[i] = p.Name
-	}
-	sort.Strings(names)
-	return names
 }
