@@ -23,9 +23,18 @@ build:
 
 # bench/ is its own module, so the root ./... does not reach it: vet it
 # separately, so an API change that breaks the benchmark fails here.
+# The L1 cache and TLB hit paths (hitLast, lookupLast) must inline:
+# hitLast sits at cost 78 of the inliner's budget of 80, so one more node
+# would silently move every L1 hit out of line. scripts/check.sh mirrors
+# the check.
+INLINED = '(*Cache).hitLast' '(*TLB).lookupLast'
 vet:
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
+	@m=$$($(GO) build -gcflags=-m ./internal/mem 2>&1) || { echo "$$m" >&2; exit 1; }; \
+	for f in $(INLINED); do \
+		echo "$$m" | grep -qF "can inline $$f" || { echo "vet: $$f no longer inlines" >&2; exit 1; }; \
+	done
 
 test:
 	$(GO) test -race -timeout 45m ./...

@@ -42,15 +42,14 @@ type Worker struct {
 	sem chan struct{}
 
 	mu        sync.Mutex
-	platforms map[PlatformSpec]*platform.Platform
-	idle      map[string][]*platform.SimContext // platform fingerprint -> free contexts
+	platforms map[PlatformSpec]resolvedPlatform
+	idle      map[*platform.Platform][]*platform.SimContext // free contexts
 
-	runs     atomic.Int64
-	runsOK   *obs.Counter
-	runsErr  *obs.Counter
-	busy     *obs.Gauge
-	simTime  *obs.Histogram
-	capacity int
+	runs      atomic.Int64
+	runsTotal *obs.Counter // by outcome
+	busy      *obs.Gauge
+	simTime   *obs.Histogram
+	capacity  int
 
 	// clock overrides time.Now for the clock-skew tests; nil means the
 	// real clock.
@@ -73,14 +72,13 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	w := &Worker{
 		cfg:       cfg,
 		sem:       make(chan struct{}, cfg.MaxParallel),
-		platforms: make(map[PlatformSpec]*platform.Platform),
-		idle:      make(map[string][]*platform.SimContext),
+		platforms: make(map[PlatformSpec]resolvedPlatform),
+		idle:      make(map[*platform.Platform][]*platform.SimContext),
 		capacity:  cfg.MaxParallel,
 	}
 	if reg := cfg.Registry; reg != nil {
-		runsTotal := reg.Counter("gemstone_dist_worker_runs_total",
+		w.runsTotal = reg.Counter("gemstone_dist_worker_runs_total",
 			"Jobs executed by this worker, by outcome.", "outcome")
-		w.runsOK, w.runsErr = runsTotal, runsTotal
 		w.busy = reg.Gauge("gemstone_dist_worker_busy",
 			"Simulations currently executing on this worker.")
 		w.simTime = reg.Histogram("gemstone_dist_worker_sim_seconds",
@@ -137,12 +135,12 @@ func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 			http.StatusConflict)
 		return
 	}
-	pl, err := w.platform(job.Spec)
+	pl, fp, err := w.platform(job.Spec)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusConflict)
 		return
 	}
-	if fp := pl.Config().Fingerprint(); fp != job.PlatformFP {
+	if fp != job.PlatformFP {
 		// A fingerprint mismatch means coordinator and worker binaries
 		// model different machines; measurements would differ silently.
 		http.Error(rw, fmt.Sprintf("dist: platform fingerprint mismatch (worker %s)", fp[:12]),
@@ -191,8 +189,8 @@ func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 	<-w.sem
 
 	if err != nil {
-		if w.runsErr != nil {
-			w.runsErr.Inc("error")
+		if w.runsTotal != nil {
+			w.runsTotal.Inc("error")
 		}
 		if w.cfg.Log != nil {
 			w.cfg.Log.Error("job failed", "id", job.ID, "key", job.Profile.Name,
@@ -209,8 +207,8 @@ func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 	}
 	mark("encode", encT, obs.Int("bytes", len(payload)))
 	w.runs.Add(1)
-	if w.runsOK != nil {
-		w.runsOK.Inc("ok")
+	if w.runsTotal != nil {
+		w.runsTotal.Inc("ok")
 	}
 	if w.simTime != nil {
 		w.simTime.Observe(elapsed.Seconds())
@@ -243,41 +241,48 @@ func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 	_ = gob.NewEncoder(rw).Encode(res)
 }
 
-// platform resolves (and memoises) the spec's platform.
-func (w *Worker) platform(spec PlatformSpec) (*platform.Platform, error) {
+// resolvedPlatform is a resolved spec's platform with its configuration
+// fingerprint, which costs a JSON encoding and a SHA-256 of the whole
+// configuration and so is computed once per spec.
+type resolvedPlatform struct {
+	pl *platform.Platform
+	fp string
+}
+
+// platform resolves (and memoises) the spec's platform and fingerprint.
+func (w *Worker) platform(spec PlatformSpec) (*platform.Platform, string, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if pl, ok := w.platforms[spec]; ok {
-		return pl, nil
+	if r, ok := w.platforms[spec]; ok {
+		return r.pl, r.fp, nil
 	}
 	pl, err := spec.Resolve()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	w.platforms[spec] = pl
-	return pl, nil
+	r := resolvedPlatform{pl: pl, fp: pl.Config().Fingerprint()}
+	w.platforms[spec] = r
+	return r.pl, r.fp, nil
 }
 
 // simContext pops an idle reusable context for pl, or builds one. The
-// pool is keyed by platform fingerprint and bounded by MaxParallel via
+// pool is keyed by the memoised platform and bounded by MaxParallel via
 // the semaphore, so at most MaxParallel contexts exist per platform.
 // reused reports whether the context came from the pool (a trace
 // annotation: a cold build costs hundreds of kilobytes and milliseconds).
 func (w *Worker) simContext(pl *platform.Platform) (sc *platform.SimContext, reused bool) {
-	fp := pl.Config().Fingerprint()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if free := w.idle[fp]; len(free) > 0 {
+	if free := w.idle[pl]; len(free) > 0 {
 		sc := free[len(free)-1]
-		w.idle[fp] = free[:len(free)-1]
+		w.idle[pl] = free[:len(free)-1]
 		return sc, true
 	}
 	return platform.NewSimContext(pl), false
 }
 
 func (w *Worker) releaseSimContext(pl *platform.Platform, sc *platform.SimContext) {
-	fp := pl.Config().Fingerprint()
 	w.mu.Lock()
-	w.idle[fp] = append(w.idle[fp], sc)
+	w.idle[pl] = append(w.idle[pl], sc)
 	w.mu.Unlock()
 }

@@ -237,69 +237,58 @@ func (c *Cache) Reset() {
 	c.last = 0
 }
 
-// hitFast is the demand-hit fast path of Access: when addr hits it applies
-// the full hit bookkeeping (access count, LRU touch, prefetch-hit and dirty
-// flags) and returns true; on a miss it records nothing and returns false,
-// and the caller falls back to Access for the miss path. Statistics and
-// replacement state stay byte-identical to calling Access directly — the
-// fast path only avoids materialising an AccessResult on hits.
+// touch applies the demand-hit bookkeeping to line idx: the access count,
+// the LRU touch, and the prefetch-hit and dirty flags.
+func (c *Cache) touch(idx int, write bool) {
+	if write {
+		c.Stats.WriteAccesses++
+	} else {
+		c.Stats.ReadAccesses++
+	}
+	c.tick++
+	c.lastUse[idx] = c.tick
+	m := c.meta[idx]
+	if m&metaPrefetched != 0 {
+		c.Stats.PrefetchHits++
+		m &^= metaPrefetched
+	}
+	if write {
+		m |= metaDirty
+	}
+	c.meta[idx] = m
+}
+
+// hitFast is the demand-hit half of Access: when addr hits it applies the
+// hit bookkeeping and returns true; on a miss it records nothing and
+// returns false, and the caller goes on to missDemand.
 func (c *Cache) hitFast(addr uint64, write bool) bool {
 	idx := c.lookup(addr)
 	if idx < 0 {
 		return false
 	}
-	if write {
-		c.Stats.WriteAccesses++
-	} else {
-		c.Stats.ReadAccesses++
-	}
-	c.tick++
-	c.lastUse[idx] = c.tick
-	m := c.meta[idx]
-	if m&metaPrefetched != 0 {
-		c.Stats.PrefetchHits++
-		m &^= metaPrefetched
-	}
-	if write {
-		m |= metaDirty
-	}
-	c.meta[idx] = m
+	c.touch(idx, write)
 	return true
 }
 
-// hitLast is hitFast restricted to the memoised line: it applies the full
-// hit bookkeeping when the last-touched line matches and reports false
+// hitLast is hitFast restricted to the memoised line: it applies the hit
+// bookkeeping when the last-touched line matches and reports false
 // otherwise (recording nothing). Unlike hitFast it is small enough to
 // inline, so repeat accesses to the same line cost no call at all.
 func (c *Cache) hitLast(addr uint64, write bool) bool {
-	idx := c.last
-	if c.tags[idx] != (addr&c.lineMask)|1 {
+	if c.tags[c.last] != (addr&c.lineMask)|1 {
 		return false
 	}
-	if write {
-		c.Stats.WriteAccesses++
-	} else {
-		c.Stats.ReadAccesses++
-	}
-	c.tick++
-	c.lastUse[idx] = c.tick
-	m := c.meta[idx]
-	if m&metaPrefetched != 0 {
-		c.Stats.PrefetchHits++
-		m &^= metaPrefetched
-	}
-	if write {
-		m |= metaDirty
-	}
-	c.meta[idx] = m
+	c.touch(c.last, write)
 	return true
 }
 
-// missDemand applies the demand-miss path of Access for an address the
-// caller has just observed to miss (hitFast returned false with no
-// intervening cache mutations). Splitting it from Access spares the miss
-// path a second associative scan; statistics and replacement state are
-// byte-identical to calling Access.
+// missDemand is the demand-miss half of Access, for an address the caller
+// has just observed to miss (hitFast returned false with no intervening
+// cache mutations), which spares the miss path a second associative scan.
+// On a miss with allocation the line is installed (the caller is assumed
+// to fetch it from the next level and charge the appropriate latency).
+// The result lists the dirty victim, if any, and the next-line prefetch
+// candidates not already resident.
 func (c *Cache) missDemand(addr uint64, write bool) AccessResult {
 	var res AccessResult
 	if write {
@@ -309,6 +298,8 @@ func (c *Cache) missDemand(addr uint64, write bool) AccessResult {
 			c.Stats.WriteRefills++
 			res.WritebackAddr, res.Writeback = c.fill(addr, true, false)
 		}
+		// Write-no-allocate misses pass through to the next level; the
+		// hierarchy handles that traffic.
 		return res
 	}
 	c.Stats.ReadAccesses++
@@ -338,113 +329,37 @@ func (c *Cache) missDemand(addr uint64, write bool) AccessResult {
 	return res
 }
 
-// Access performs a demand read or write lookup. On a miss with allocation
-// the line is installed (the caller is assumed to fetch it from the next
-// level and charge the appropriate latency). The returned AccessResult
-// lists the dirty victim, if any, and prefetch requests to issue.
+// Access performs a demand read or write lookup: hitFast, then missDemand
+// if the line is absent. The result reports the hit or, on a miss, the
+// dirty victim and prefetch candidates the caller must send on.
 func (c *Cache) Access(addr uint64, write bool) AccessResult {
-	var res AccessResult
-	if write {
-		c.Stats.WriteAccesses++
-	} else {
-		c.Stats.ReadAccesses++
+	if c.hitFast(addr, write) {
+		return AccessResult{Hit: true}
 	}
-	if idx := c.lookup(addr); idx >= 0 {
-		c.tick++
-		c.lastUse[idx] = c.tick
-		m := c.meta[idx]
-		if m&metaPrefetched != 0 {
-			c.Stats.PrefetchHits++
-			m &^= metaPrefetched
-		}
-		if write {
-			m |= metaDirty
-		}
-		c.meta[idx] = m
-		res.Hit = true
-		return res
-	}
-	// Miss.
-	if write {
-		c.Stats.WriteMisses++
-		if c.cfg.WriteAllocate {
-			c.Stats.WriteRefills++
-			res.WritebackAddr, res.Writeback = c.fill(addr, true, false)
-		}
-		// Write-no-allocate misses pass through to the next level; the
-		// hierarchy handles that traffic.
-	} else {
-		c.Stats.ReadMisses++
-		c.Stats.ReadRefills++
-		res.WritebackAddr, res.Writeback = c.fill(addr, false, false)
-		if c.cfg.NextLinePrefetch {
-			deg := c.cfg.PrefetchDegree
-			if deg <= 0 {
-				deg = 1
-			}
-			if deg > len(c.pfBuf) {
-				deg = len(c.pfBuf)
-			}
-			line := uint64(c.cfg.LineBytes)
-			base := addr & c.lineMask
-			n := 0
-			for i := 1; i <= deg; i++ {
-				pa := base + uint64(i)*line
-				if c.lookup(pa) < 0 {
-					c.pfBuf[n] = pa
-					n++
-				}
-			}
-			res.PrefetchAddrs = c.pfBuf[:n]
-		}
-	}
-	return res
+	return c.missDemand(addr, write)
 }
 
-// AccessWriteNoAlloc performs a write lookup that never allocates on a
-// miss, regardless of the configured write-allocate policy. The merging
-// write buffer in the hierarchy uses this for detected streaming stores.
-func (c *Cache) AccessWriteNoAlloc(addr uint64) AccessResult {
-	var res AccessResult
+// AccessWriteNoAlloc records a write miss that bypasses allocation, for a
+// line the caller has just found absent (Contains). The merging write
+// buffer in the hierarchy uses this for detected streaming stores, which
+// never allocate whatever the configured write-allocate policy.
+func (c *Cache) AccessWriteNoAlloc(addr uint64) {
 	c.Stats.WriteAccesses++
-	if idx := c.lookup(addr); idx >= 0 {
-		c.tick++
-		c.lastUse[idx] = c.tick
-		m := c.meta[idx] | metaDirty
-		if m&metaPrefetched != 0 {
-			c.Stats.PrefetchHits++
-			m &^= metaPrefetched
-		}
-		c.meta[idx] = m
-		res.Hit = true
-		return res
-	}
 	c.Stats.WriteMisses++
-	return res
 }
 
-// Prefetch installs a line speculatively (no demand stats recorded). The
-// returned values describe a dirty victim writeback, if one occurred.
-func (c *Cache) Prefetch(addr uint64) (wbAddr uint64, wb bool) {
-	if c.lookup(addr) >= 0 {
-		return 0, false
-	}
-	c.Stats.Prefetches++
-	return c.fill(addr, false, true)
-}
-
-// prefetchAbsent is Prefetch for a line the caller knows is not resident:
-// the candidates an AccessResult carries were filtered against the cache,
-// and the only mutations since are prefetch fills of other lines (which can
-// only evict). Skipping Prefetch's residency scan is therefore
-// byte-identical.
+// prefetchAbsent installs a line speculatively (no demand stats recorded)
+// that the caller knows is not resident: the candidates an AccessResult
+// carries were filtered against the cache, and the only mutations since
+// are prefetch fills of other lines (which can only evict). The returned
+// values describe a dirty victim writeback, if one occurred.
 func (c *Cache) prefetchAbsent(addr uint64) (wbAddr uint64, wb bool) {
 	c.Stats.Prefetches++
 	return c.fill(addr, false, true)
 }
 
-// Contains reports whether addr's line is resident. Used by tests and by
-// the snoop filter.
+// Contains reports whether addr's line is resident (no stats recorded).
+// The hierarchy's streaming-store check uses it.
 func (c *Cache) Contains(addr uint64) bool { return c.lookup(addr) >= 0 }
 
 // Invalidate removes addr's line if present, returning whether it was dirty

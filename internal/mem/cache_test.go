@@ -117,15 +117,13 @@ func TestCacheWriteNoAllocatePolicy(t *testing.T) {
 }
 
 func TestCacheAccessWriteNoAlloc(t *testing.T) {
-	c := NewCache(testCacheConfig())
-	res := c.AccessWriteNoAlloc(0x80)
-	if res.Hit || c.Contains(0x80) {
+	c := NewCache(testCacheConfig()) // write-allocate
+	c.AccessWriteNoAlloc(0x80)
+	if c.Contains(0x80) {
 		t.Fatal("no-alloc write miss must not install the line")
 	}
-	c.Access(0x80, false) // install
-	res = c.AccessWriteNoAlloc(0x80)
-	if !res.Hit {
-		t.Fatal("no-alloc write to resident line must hit")
+	if s := c.Stats; s.WriteAccesses != 1 || s.WriteMisses != 1 || s.WriteRefills != 0 {
+		t.Fatalf("stats = %+v, want 1 write access, 1 write miss, 0 write refills", s)
 	}
 }
 
@@ -142,7 +140,7 @@ func TestCacheNextLinePrefetch(t *testing.T) {
 		t.Fatalf("prefetch addrs = %#x", res.PrefetchAddrs)
 	}
 	for _, pa := range res.PrefetchAddrs {
-		c.Prefetch(pa)
+		c.prefetchAbsent(pa)
 	}
 	if c.Stats.Prefetches != 2 {
 		t.Fatalf("Prefetches = %d, want 2", c.Stats.Prefetches)

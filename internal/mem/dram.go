@@ -52,9 +52,10 @@ type DRAMStats struct {
 // Accesses returns total reads+writes.
 func (s *DRAMStats) Accesses() uint64 { return s.Reads + s.Writes }
 
-// DRAM models off-chip memory latency. Access returns nanoseconds; the
-// hierarchy converts to core cycles at the current frequency, which is what
-// makes memory-bound workloads scale sub-linearly with DVFS (Fig. 8).
+// DRAM models off-chip memory's open-row state. Its latencies are in
+// nanoseconds; the hierarchy converts them to core cycles at each
+// frequency (Hierarchy.ClockAt), which is what makes memory-bound
+// workloads scale sub-linearly with DVFS (Fig. 8).
 type DRAM struct {
 	cfg      DRAMConfig
 	Stats    DRAMStats
@@ -85,19 +86,10 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 // Config returns the DRAM configuration.
 func (d *DRAM) Config() DRAMConfig { return d.cfg }
 
-// Access performs one line-sized transfer and returns its latency in ns.
-func (d *DRAM) Access(addr uint64, write bool, lineBytes int) float64 {
-	lat := d.cfg.RowMissNs
-	if d.AccessRowHit(addr, write) {
-		lat = d.cfg.RowHitNs
-	}
-	return lat + float64(lineBytes)/d.cfg.BandwidthBytesPerNs
-}
-
-// AccessRowHit performs one transfer's state update and reports whether it
-// hit the open row. The hierarchy's hot path uses this with latencies
-// precomputed as integer cycles (RowHitCycles/RowMissCycles in Hierarchy),
-// avoiding per-access float math; Access keeps the ns-returning form.
+// AccessRowHit performs one line transfer's state update and reports
+// whether it hit the open row. Its latency is the row-hit or row-miss
+// cycle count of Hierarchy.ClockAt, precomputed per clock so the access
+// path does no float math.
 func (d *DRAM) AccessRowHit(addr uint64, write bool) bool {
 	if write {
 		d.Stats.Writes++

@@ -245,10 +245,12 @@ func (h *Hierarchy) SetFrequencyGHz(ghz float64) {
 // Clock returns the DRAM cycle pair at the current core clock.
 func (h *Hierarchy) Clock() Clock { return h.clock }
 
-// l2Fill performs an L2 lookup for a line fill on behalf of an L1 miss and
-// returns the added latency beyond the L1 hit latency. Callers filling off
-// the critical path (prefetches, the second line of an unaligned store)
-// discard it.
+// l2Fill performs an L2 lookup on behalf of an L1 miss and returns the
+// added latency beyond the L1 hit latency. A read fills a line for L1; a
+// write carries one down from L1 (a dirty victim, a merged streaming line,
+// a write-no-allocate store): its DRAM traffic is real, but it never
+// prefetches. Callers off the critical path (writes, prefetches, the
+// second line of an unaligned store) discard the latency.
 func (h *Hierarchy) l2Fill(addr uint64, write bool) Latency {
 	res := h.L2.Access(addr, write)
 	lat := h.l2Lat
@@ -312,18 +314,8 @@ func (h *Hierarchy) Fetch(pc uint64) Latency {
 	if !h.ITLB.lookupLast(pc >> PageShift) {
 		lat += h.translate(pc, h.ITLB, h.L2TLBI, &h.Stats.ITLBWalks)
 	}
-	if h.L1I.hitLast(pc, false) {
-		return lat
-	}
-	if h.L1I.hitFast(pc, false) {
-		return lat
-	}
-	res := h.L1I.missDemand(pc, false)
-	lat += h.l2Fill(pc, false)
-	for _, pa := range res.PrefetchAddrs {
-		// L1I lines are never dirty, so the victim writeback is ignored.
-		h.L1I.prefetchAbsent(pa)
-		h.l2Fill(pa, false)
+	if !h.L1I.hitLast(pc, false) && !h.L1I.hitFast(pc, false) {
+		lat += h.l1Fill(h.L1I, pc)
 	}
 	return lat
 }
@@ -340,26 +332,16 @@ func (h *Hierarchy) Load(addr uint64, unaligned bool) Latency {
 		lat += h.translate(addr, h.DTLB, h.L2TLBD, &h.Stats.DTLBWalks)
 	}
 	if !h.L1D.hitLast(addr, false) && !h.L1D.hitFast(addr, false) {
-		res := h.L1D.missDemand(addr, false)
-		if res.Writeback {
-			h.l2WriteBack(res.WritebackAddr)
-		}
-		lat += h.l2Fill(addr, false)
-		for _, pa := range res.PrefetchAddrs {
-			wbAddr, wb := h.L1D.prefetchAbsent(pa)
-			if wb {
-				h.l2WriteBack(wbAddr)
-			}
-			h.l2Fill(pa, false)
-		}
+		lat += h.l1Fill(h.L1D, addr)
 	}
 	if unaligned {
 		h.Stats.UnalignedAccess++
-		// Second access for the straddling part.
+		// Second access for the straddling part; its prefetch candidates
+		// are not issued.
 		res2 := h.L1D.Access(addr+h.l1dLine, false)
 		lat += h.l1dLat
 		if res2.Writeback {
-			h.l2WriteBack(res2.WritebackAddr)
+			h.l2Fill(res2.WritebackAddr, true)
 		}
 		if !res2.Hit {
 			lat += h.l2Fill(addr+h.l1dLine, false)
@@ -373,18 +355,24 @@ func (h *Hierarchy) LoadAccess(addr uint64, unaligned bool) int {
 	return h.Load(addr, unaligned).Cycles(h.clock)
 }
 
-func (h *Hierarchy) l2WriteBack(addr uint64) {
-	res := h.L2.Access(addr, true)
+// l1Fill handles a demand read miss in l1 (L1I or L1D) that hitFast has
+// just reported: the line fill, the dirty victim's writeback and the
+// next-line prefetches. It returns the fill's latency beyond the L1 hit
+// latency. L1I lines are never dirty, so on the instruction side the
+// writeback branches never fire.
+func (h *Hierarchy) l1Fill(l1 *Cache, addr uint64) Latency {
+	res := l1.missDemand(addr, false)
 	if res.Writeback {
-		h.Stats.BusAccesses++
-		h.DRAM.AccessRowHit(res.WritebackAddr, true)
+		h.l2Fill(res.WritebackAddr, true)
 	}
-	if !res.Hit {
-		// Write-allocate in L2 for the victim line; DRAM fill off the
-		// critical path, but the traffic is real.
-		h.Stats.BusAccesses++
-		h.DRAM.AccessRowHit(addr, true)
+	lat := h.l2Fill(addr, false)
+	for _, pa := range res.PrefetchAddrs {
+		if wbAddr, wb := l1.prefetchAbsent(pa); wb {
+			h.l2Fill(wbAddr, true)
+		}
+		h.l2Fill(pa, false)
 	}
+	return lat
 }
 
 // wcbEntry is one write-combining-buffer stream tracker.
@@ -435,15 +423,11 @@ func (h *Hierarchy) Store(addr uint64, size int, unaligned bool) Latency {
 		// Merging write buffer: the store bypasses L1D allocation and is
 		// merged into a line write sent to L2 once per line.
 		h.Stats.MergedStores++
-		res := h.L1D.AccessWriteNoAlloc(addr)
+		h.L1D.AccessWriteNoAlloc(addr)
 		lat += h.l1dLat
-		if res.Writeback {
-			h.l2WriteBack(res.WritebackAddr)
-		}
-		lineOff := addr & (h.l1dLine - 1)
-		if lineOff < uint64(size) {
+		if addr&(h.l1dLine-1) < uint64(size) {
 			// First store touching this line: emit the merged line write.
-			h.l2WriteBack(addr)
+			h.l2Fill(addr, true)
 		}
 		return lat
 	}
@@ -452,21 +436,21 @@ func (h *Hierarchy) Store(addr uint64, size int, unaligned bool) Latency {
 	if !h.L1D.hitLast(addr, true) && !h.L1D.hitFast(addr, true) {
 		res := h.L1D.missDemand(addr, true)
 		if res.Writeback {
-			h.l2WriteBack(res.WritebackAddr)
+			h.l2Fill(res.WritebackAddr, true)
 		}
 		if h.l1dWriteAlloc {
 			// Write-allocate: fetch the line from L2 before merging the store.
 			lat += h.l2Fill(addr, false)
 		} else {
 			// Write-no-allocate: the store goes straight to L2.
-			h.l2WriteBack(addr)
+			h.l2Fill(addr, true)
 		}
 	}
 	if unaligned {
 		h.Stats.UnalignedAccess++
 		res2 := h.L1D.Access(addr+h.l1dLine, true)
 		if res2.Writeback {
-			h.l2WriteBack(res2.WritebackAddr)
+			h.l2Fill(res2.WritebackAddr, true)
 		}
 		if !res2.Hit && h.l1dWriteAlloc {
 			h.l2Fill(addr+h.l1dLine, false)
@@ -532,7 +516,7 @@ func (h *Hierarchy) InjectSnoop(addr uint64) bool {
 	}
 	dirty, present := h.L1D.Invalidate(addr)
 	if dirty {
-		h.l2WriteBack(addr)
+		h.l2Fill(addr, true)
 	}
 	if present {
 		h.Stats.SnoopHits++

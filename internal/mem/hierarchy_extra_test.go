@@ -5,17 +5,23 @@ import (
 )
 
 func TestDRAMBandwidthTermScalesWithLineSize(t *testing.T) {
-	d := NewDRAM(testDRAMConfig())
-	small := d.Access(0, false, 64)
-	d2 := NewDRAM(testDRAMConfig())
-	large := d2.Access(0, false, 256)
-	if large <= small {
-		t.Fatalf("larger transfers must take longer: %v vs %v ns", large, small)
+	// Every DRAM access is one L2-line transfer, so the line size sets the
+	// serialisation term of both DRAM latencies.
+	clockWithL2Line := func(lineBytes int) Clock {
+		cfg := testHierConfig()
+		cfg.L2.LineBytes = lineBytes
+		return NewHierarchy(cfg).ClockAt(1.0)
 	}
-	// The difference is exactly the serialisation term.
-	want := (256.0 - 64.0) / testDRAMConfig().BandwidthBytesPerNs
-	if got := large - small; got != want {
-		t.Fatalf("bandwidth term = %v ns, want %v", got, want)
+	small, large := clockWithL2Line(64), clockWithL2Line(256)
+	if large.Hit <= small.Hit || large.Miss <= small.Miss {
+		t.Fatalf("larger transfers must take longer: %+v vs %+v cycles", large, small)
+	}
+	// At 1 GHz a nanosecond is a cycle and the test latencies are whole
+	// cycles, so the difference is exactly the serialisation term.
+	want := int((256.0 - 64.0) / testDRAMConfig().BandwidthBytesPerNs)
+	if large.Hit-small.Hit != want || large.Miss-small.Miss != want {
+		t.Fatalf("bandwidth term = %d/%d cycles (hit/miss), want %d",
+			large.Hit-small.Hit, large.Miss-small.Miss, want)
 	}
 }
 

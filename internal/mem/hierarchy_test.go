@@ -30,13 +30,17 @@ func testHierConfig() HierarchyConfig {
 
 func TestDRAMRowBuffer(t *testing.T) {
 	d := NewDRAM(testDRAMConfig())
-	first := d.Access(0, false, 64)
-	second := d.Access(64, false, 64) // same row
-	if first <= second {
-		t.Fatalf("row miss (%v ns) must be slower than row hit (%v ns)", first, second)
+	if d.AccessRowHit(0, false) {
+		t.Fatal("first access to a closed bank must miss the open row")
 	}
-	if d.Stats.RowHits != 1 || d.Stats.RowMisses != 1 {
+	if !d.AccessRowHit(64, false) { // same row
+		t.Fatal("second access to the same row must hit the open row")
+	}
+	if d.Stats.Reads != 2 || d.Stats.RowHits != 1 || d.Stats.RowMisses != 1 {
 		t.Fatalf("stats = %+v", d.Stats)
+	}
+	if c := NewHierarchy(testHierConfig()).ClockAt(1.0); c.Miss <= c.Hit {
+		t.Fatalf("row miss (%d cycles) must be slower than row hit (%d cycles)", c.Miss, c.Hit)
 	}
 }
 
@@ -230,5 +234,55 @@ func TestHierarchyDeterminism(t *testing.T) {
 	h2, c2, t2 := run()
 	if h1 != h2 || c1 != c2 || t1 != t2 {
 		t.Fatal("hierarchy simulation is not deterministic")
+	}
+}
+
+// TestL1INeverDirty pins the invariant that lets Fetch and Load share
+// l1Fill: no access path ever dirties an L1I line, so the instruction side
+// never writes a victim back. Stores and snoops target the same addresses
+// the fetches do, and L1I is small and prefetching so its fills evict.
+func TestL1INeverDirty(t *testing.T) {
+	cfg := testHierConfig()
+	cfg.L1I.SizeBytes = 4 << 10
+	cfg.L1I.NextLinePrefetch = true
+	cfg.L1I.PrefetchDegree = 2
+	h := NewHierarchy(cfg)
+	rng := xrand.New(7)
+	for i := 0; i < 20000; i++ {
+		a := uint64(rng.Intn(1 << 18))
+		switch rng.Intn(8) {
+		case 0, 1:
+			h.Fetch(a)
+		case 2:
+			h.WrongPathProbe(a)
+		case 3:
+			h.Load(a, rng.Bool(0.2))
+		case 4:
+			h.Store(a, 4, rng.Bool(0.2))
+		case 5:
+			// A streaming run: sequential stores over a few lines.
+			for j := uint64(0); j < 64; j++ {
+				h.Store(a&^63+4*j, 4, false)
+			}
+		case 6:
+			h.LoadExclusive(a)
+			h.StoreExclusive(a)
+		default:
+			h.InjectSnoop(a)
+		}
+	}
+	if h.L1I.Stats.ReadRefills <= uint64(len(h.L1I.tags)) || h.L1I.Stats.Prefetches == 0 {
+		t.Fatalf("L1I stats = %+v: the mix must evict and prefetch", h.L1I.Stats)
+	}
+	if h.L1D.Stats.Writebacks == 0 || h.Stats.MergedStores == 0 {
+		t.Fatal("the mix must write dirty L1D lines back and merge streaming stores")
+	}
+	if wb := h.L1I.Stats.Writebacks; wb != 0 {
+		t.Fatalf("L1I wrote back %d lines, want 0", wb)
+	}
+	for i, m := range h.L1I.meta {
+		if h.L1I.tags[i] != 0 && m&metaDirty != 0 {
+			t.Fatalf("L1I line %#x is dirty", h.L1I.tags[i]&^1)
+		}
 	}
 }

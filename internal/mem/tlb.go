@@ -105,28 +105,20 @@ func (t *TLB) LatencyCycles() int { return t.cfg.LatencyCycles }
 // On a miss the entry is NOT installed; call Refill once the walk (or the
 // next TLB level) provides the translation.
 func (t *TLB) Lookup(addr uint64) bool {
-	t.Stats.Accesses++
 	vpn := addr >> PageShift
-	key := vpn + 1
-	if t.keys[t.last] == key {
-		t.tick++
-		t.lastUse[t.last] = t.tick
+	if t.lookupLast(vpn) {
 		return true
 	}
-	base := int(vpn&t.setMask) * t.assoc
-	// Subslicing lets the compiler drop the per-way bounds checks; the L1
-	// TLBs are fully associative, so a miss scans every entry.
-	keys := t.keys[base : base+t.assoc]
-	for w, k := range keys {
-		if k == key {
-			t.tick++
-			t.lastUse[base+w] = t.tick
-			t.last = base + w
-			return true
-		}
+	t.Stats.Accesses++
+	idx := t.find(vpn)
+	if idx < 0 {
+		t.Stats.Misses++
+		return false
 	}
-	t.Stats.Misses++
-	return false
+	t.tick++
+	t.lastUse[idx] = t.tick
+	t.last = idx
+	return true
 }
 
 // lookupLast is Lookup restricted to the memoised entry: it applies the
@@ -142,6 +134,19 @@ func (t *TLB) lookupLast(vpn uint64) bool {
 	t.tick++
 	t.lastUse[t.last] = t.tick
 	return true
+}
+
+// find returns the index of vpn's entry in its set, or -1.
+func (t *TLB) find(vpn uint64) int {
+	base := int(vpn&t.setMask) * t.assoc
+	// Subslicing lets the compiler drop the per-way bounds checks; the L1
+	// TLBs are fully associative, so a miss scans every entry.
+	for w, k := range t.keys[base : base+t.assoc] {
+		if k == vpn+1 {
+			return base + w
+		}
+	}
+	return -1
 }
 
 // Refill installs the translation for addr's page, evicting LRU if needed.
@@ -191,21 +196,6 @@ func (t *TLB) Probe(addr uint64) bool {
 
 // Contains reports whether addr's page is resident (no stats recorded).
 func (t *TLB) Contains(addr uint64) bool {
-	key := addr>>PageShift + 1
-	if t.keys[t.last] == key {
-		return true
-	}
-	base := int((key-1)&t.setMask) * t.assoc
-	for _, k := range t.keys[base : base+t.assoc] {
-		if k == key {
-			return true
-		}
-	}
-	return false
-}
-
-// Flush invalidates every entry (context-switch behaviour).
-func (t *TLB) Flush() {
-	t.Stats.Flushes++
-	clear(t.keys)
+	vpn := addr >> PageShift
+	return t.keys[t.last] == vpn+1 || t.find(vpn) >= 0
 }

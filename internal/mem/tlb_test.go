@@ -63,19 +63,6 @@ func TestTLBCapacityEviction(t *testing.T) {
 	}
 }
 
-func TestTLBFlush(t *testing.T) {
-	tlb := NewTLB(TLBConfig{Name: "t", Entries: 8, Assoc: 2})
-	tlb.Refill(0)
-	tlb.Refill(PageBytes)
-	tlb.Flush()
-	if tlb.Contains(0) || tlb.Contains(PageBytes) {
-		t.Fatal("flush must invalidate all entries")
-	}
-	if tlb.Stats.Flushes != 1 {
-		t.Fatalf("Flushes = %d, want 1", tlb.Stats.Flushes)
-	}
-}
-
 // Property: hits + misses == accesses, and refills never exceed misses+1
 // window (every refill in our usage follows a miss).
 func TestTLBStatsInvariant(t *testing.T) {

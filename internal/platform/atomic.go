@@ -60,12 +60,12 @@ const (
 )
 
 // atomicAnchors caches one workload's extrapolated anchor samples on a
-// cluster: full-budget counter predictions at the DVFS extremes.
+// cluster: full-budget counter predictions at the cluster's lowest and
+// highest DVFS points. A zero prof (never a validated profile) holds
+// nothing.
 type atomicAnchors struct {
-	prof     workload.Profile // full profile the anchors belong to
-	ok       bool
-	loF, hiF int // anchor frequencies (cluster DVFS extremes)
-	lo, hi   pmu.Sample
+	prof   workload.Profile // full profile the anchors belong to
+	lo, hi pmu.Sample
 }
 
 // anchorProfile returns the anchor-pass profile (a prefix of prof's
@@ -88,9 +88,10 @@ func anchorProfile(p workload.Profile) (workload.Profile, float64) {
 // affine interpolation in frequency.
 func predict(an *atomicAnchors, pt point, parent *obs.Span) pmu.Sample {
 	sp := parent.Child("predict")
+	loF, hiF := pt.cl.DVFS[0].FreqMHz, pt.cl.DVFS[len(pt.cl.DVFS)-1].FreqMHz
 	t := 0.0
-	if an.hiF != an.loF {
-		t = float64(pt.freqMHz-an.loF) / float64(an.hiF-an.loF)
+	if hiF != loF {
+		t = float64(pt.freqMHz-loF) / float64(hiF-loF)
 	}
 	sample := interpolateSample(&an.lo, &an.hi, t)
 	sample.FreqGHz = pt.ghz
@@ -104,7 +105,7 @@ func predict(an *atomicAnchors, pt point, parent *obs.Span) pmu.Sample {
 // anchors returns (computing and caching if necessary) the workload's
 // extrapolated anchor samples on cl.
 func (sc *SimContext) anchors(cl ClusterConfig, prof workload.Profile, parent *obs.Span) (*atomicAnchors, error) {
-	if s := sc.sims[cl.Name]; s != nil && s.anchors.ok && s.anchors.prof == prof {
+	if s := sc.sims[cl.Name]; s != nil && s.anchors.prof == prof {
 		return &s.anchors, nil
 	}
 
@@ -123,9 +124,8 @@ func (sc *SimContext) anchors(cl ClusterConfig, prof workload.Profile, parent *o
 	// reusing context), so the anchors are cached alongside it.
 	s := sc.sims[cl.Name]
 	s.anchors = atomicAnchors{
-		prof: prof, ok: true,
-		loF: loF, hiF: hiF,
-		lo: extrapolateSample(&lo, growth), hi: extrapolateSample(&hi, growth),
+		prof: prof,
+		lo:   extrapolateSample(&lo, growth), hi: extrapolateSample(&hi, growth),
 	}
 	return &s.anchors, nil
 }

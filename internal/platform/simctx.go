@@ -78,9 +78,9 @@ type SimContext struct {
 	sims map[string]*clusterSim
 
 	// One-entry expanded-stream cache, keyed by the (comparable) Profile,
-	// stored packed (see packedInst).
+	// stored packed (see packedInst). The zero streamProf, which no
+	// validated profile equals, keys nothing.
 	streamProf workload.Profile
-	streamOK   bool
 	streamBuf  []packedInst
 
 	// Per-sweep scratch: the resolved points, their DRAM clocks and their
@@ -133,7 +133,7 @@ func (sc *SimContext) sim(cl ClusterConfig, prof workload.Profile) *clusterSim {
 // prof.MaxStreamLen(), and never regrown: a smaller workload reuses it as
 // is.
 func (sc *SimContext) expand(prof workload.Profile) []packedInst {
-	if !sc.streamOK || sc.streamProf != prof {
+	if sc.streamProf != prof {
 		buf := sc.streamBuf[:0]
 		if bound := prof.MaxStreamLen(); cap(buf) < bound {
 			buf = make([]packedInst, 0, bound)
@@ -150,7 +150,6 @@ func (sc *SimContext) expand(prof workload.Profile) []packedInst {
 		}
 		sc.streamBuf = buf
 		sc.streamProf = prof
-		sc.streamOK = true
 	}
 	return sc.streamBuf
 }

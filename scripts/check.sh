@@ -31,6 +31,15 @@ go build ./...
 go vet ./...
 # bench/ is its own module, out of reach of the root ./...
 (cd bench && go vet ./...)
+# The L1 cache and TLB hit paths must inline (mirrors `make vet`):
+# hitLast sits at cost 78 of the inliner's budget of 80.
+inl=$(go build -gcflags=-m ./internal/mem 2>&1)
+for f in '(*Cache).hitLast' '(*TLB).lookupLast'; do
+	if ! printf '%s\n' "$inl" | grep -qF "can inline $f"; then
+		echo "check.sh: $f no longer inlines" >&2
+		exit 1
+	fi
+done
 # The race detector slows the simulator ~10x; the core campaign tests
 # need more than the default 10m timeout.
 go test -race -timeout 45m ./...
