@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -663,6 +665,47 @@ func TestWorkerRejectsMismatches(t *testing.T) {
 	}
 	if got := post(good); got != http.StatusOK {
 		t.Fatalf("well-formed job: status %d, want 200", got)
+	}
+}
+
+// TestPrimingHoldsNoStream guards a worker's memory under a service's
+// priming pattern: one-point jobs of distinct workloads at one frequency,
+// on two platforms. No job replays another's stream, so the worker's
+// pooled contexts (one per platform) hold no expanded stream: after the
+// jobs its live heap has grown by less than one expansion (16 bytes per
+// instruction).
+func TestPrimingHoldsNoStream(t *testing.T) {
+	w := NewWorker(WorkerConfig{MaxParallel: 1})
+	h := w.Handler()
+	profs := workload.Validation()[:8]
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, prof := range profs {
+		for _, pl := range []*platform.Platform{hw.Platform(), gem5.Platform(gem5.V1)} {
+			spec, ok := SpecFor(pl)
+			if !ok {
+				t.Fatalf("%s has no spec", pl.Name())
+			}
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(Job{Proto: ProtoVersion, ID: fmt.Sprint(i), Spec: spec,
+				PlatformFP: pl.Config().Fingerprint(), Profile: prof,
+				Cluster: hw.ClusterA15, FreqMHz: 1000}); err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathRun, &buf))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s on %s: status %d: %s", prof.Name, pl.Name(), rec.Code, rec.Body)
+			}
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(w)
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if limit := int64(profs[0].MaxStreamLen()) * 16; growth >= limit {
+		t.Errorf("priming %d workloads on two platforms grew the worker's heap by %d bytes, limit %d", len(profs), growth, limit)
 	}
 }
 

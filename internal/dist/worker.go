@@ -28,15 +28,19 @@ type WorkerConfig struct {
 
 // Worker executes jobs for a coordinator. It is an http.Handler factory:
 // mount Handler() on any server (cmd/gemstoned in production, httptest in
-// the chaos suite). Simulation state is pooled per platform — a
-// SimContext costs hundreds of kilobytes to build. The coordinator orders
-// jobs workload-major but, unlike core.Collect's workers, which claim
-// whole workload groups (or whole sweeps when workloads are fewer than
-// workers), it still dispatches one job at a time, so a pooled context's
-// expanded stream and kept run (a later point of the recorded
-// workload and cluster runs only its timing lane) serve only when
-// consecutive jobs of a sweep happen to land on it. Claiming sweeps here
-// is the known follow-up.
+// the chaos suite). Simulation state is pooled per platform, so a job
+// reuses a context's per-cluster hierarchy, predictor and core instead of
+// rebuilding them. The coordinator orders jobs workload-major but, unlike
+// core.Collect's workers, which claim whole workload groups (or whole
+// sweeps when workloads are fewer than workers), it dispatches one job at
+// a time. A pooled context therefore expands a workload's stream only
+// when a cluster starts recording (two consecutive jobs of one workload
+// landed on it), to size the kept run's log and to serve the other
+// cluster's points; a later point of the recorded workload and cluster
+// runs only its timing lane. A context that sees one point per workload,
+// as when a service primes one frequency of its catalogue, streams each
+// from the generator and holds neither an expansion nor a log. Claiming
+// sweeps here is the known follow-up.
 type Worker struct {
 	cfg WorkerConfig
 	sem chan struct{}

@@ -13,6 +13,9 @@ import (
 // whichever is set. A 240k-instruction workload expands to 3.8 MB instead
 // of 7.7 MB, which is what lets a campaign run two detailed lanes — each
 // holding its workload's expansion — in about the memory one took before.
+// A context expands a stream only to replay it (see SimContext); a
+// one-point run that nothing will replay streams from the generator
+// instead.
 type packedInst struct {
 	pc, arg                   uint32
 	op, size, src1, src2, dst uint8

@@ -188,9 +188,9 @@ func TestSimContextReuseAllocs(t *testing.T) {
 
 // TestOnePointPerWorkloadKeepsNoLog guards the memory of a context that
 // runs one point per workload, as when a service primes one frequency of
-// its catalogue: it keeps no event log. Its runs may allocate the
-// expanded stream and the cluster's state, but less than half of one log
-// (24 bytes per instruction) besides.
+// its catalogue: it keeps no event log. Its runs may allocate the size of
+// one expanded stream and the cluster's state, but less than half of one
+// log (24 bytes per instruction) besides.
 func TestOnePointPerWorkloadKeepsNoLog(t *testing.T) {
 	pl := hw.Platform()
 	a, b := mustProfile(t, "dhrystone"), mustProfile(t, "parsec-canneal-4")
@@ -205,6 +205,28 @@ func TestOnePointPerWorkloadKeepsNoLog(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	stream := uint64(a.MaxStreamLen()) * 16
 	if n, limit := after.TotalAlloc-before.TotalAlloc, stream+uint64(a.TotalInsts)*24/2; n > limit {
+		t.Errorf("four one-point runs of alternating workloads allocated %d bytes, limit %d", n, limit)
+	}
+}
+
+// TestOnePointPerWorkloadHoldsNoStream guards the same context's stream:
+// nothing replays a one-point run that records nothing, so it streams
+// from the generator and expands nothing. The four runs allocate the
+// cluster's state and the generators' bookkeeping, less than half of one
+// packed expansion (16 bytes per instruction).
+func TestOnePointPerWorkloadHoldsNoStream(t *testing.T) {
+	pl := hw.Platform()
+	a, b := mustProfile(t, "dhrystone"), mustProfile(t, "parsec-canneal-4")
+	sc := platform.NewSimContext(pl)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, prof := range []workload.Profile{a, b, a, b} {
+		if _, err := sc.Run(prof, hw.ClusterA15, 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n, limit := after.TotalAlloc-before.TotalAlloc, uint64(a.MaxStreamLen())*16/2; n > limit {
 		t.Errorf("four one-point runs of alternating workloads allocated %d bytes, limit %d", n, limit)
 	}
 }

@@ -39,7 +39,8 @@ type clusterSim struct {
 	// RunFidelity calls have run the same workload (point is the last
 	// one's): its points then arrive as sweeps. A context that only ever
 	// sees one point per workload, as when a service primes one frequency
-	// of a catalogue, never holds one.
+	// of a catalogue, never holds one, and streams those points from the
+	// generator without expanding them either.
 	point workload.Profile
 	keeps bool
 
@@ -60,13 +61,18 @@ type clusterSim struct {
 // context keeps one clusterSim per cluster (Reset() restores
 // just-constructed state, so results are bit-identical to fresh
 // construction — the golden equivalence tests pin this) and a one-entry
-// cache of the most recently expanded instruction stream, which pays off
-// when consecutive runs share a workload. core.Collect arranges that: its
-// workers claim whole workload groups, every cluster and frequency of one
-// workload, falling back to whole (workload, cluster) sweeps when a
-// campaign has fewer workloads than workers, and run each sweep in one
-// RunSweep. internal/dist still dispatches per job, so a remote worker's
-// context reuses less.
+// cache of the most recently expanded instruction stream.
+//
+// An expansion exists only to be replayed: by the workload's next sweep
+// (core.Collect's workers claim whole workload groups, every cluster and
+// frequency of one workload, falling back to whole (workload, cluster)
+// sweeps when a campaign has fewer workloads than workers, and run each
+// sweep in one RunSweep), by the atomic tier's anchor pass, or by a
+// one-point run whose cluster records (see clusterSim.point), which
+// sizes its log from it and leaves it to the other cluster's points.
+// Any other one-point run (internal/dist dispatches per job) streams
+// from the generator, so a context that sees one point per workload
+// holds no expansion.
 //
 // A SimContext is not safe for concurrent use; create one per worker.
 type SimContext struct {
@@ -126,12 +132,12 @@ func (sc *SimContext) sim(cl ClusterConfig, prof workload.Profile) *clusterSim {
 }
 
 // expand returns prof's instruction stream, expanded once into the
-// context's reused buffer: consecutive runs of the same workload (other
-// cluster, other frequency, or the atomic tier after the detailed one)
-// skip regeneration entirely. The slice packs the exact sequence the generator
-// produces; replay it with a packedStream. The buffer is sized once, to
-// prof.MaxStreamLen(), and never regrown: a smaller workload reuses it as
-// is.
+// context's reused buffer, for callers that will replay it: a later sweep
+// of the same workload (other cluster, other frequency, or the atomic
+// tier after the detailed one) skips regeneration entirely. The slice
+// packs the exact sequence the generator produces; replay it with a
+// packedStream. The buffer is sized once, to prof.MaxStreamLen(), and
+// never regrown: a smaller workload reuses it as is.
 func (sc *SimContext) expand(prof workload.Profile) []packedInst {
 	if sc.streamProf != prof {
 		buf := sc.streamBuf[:0]
@@ -267,7 +273,10 @@ func (sc *SimContext) sweep(prof workload.Profile, cluster string, freqs []int, 
 // hierarchy and predictor statistics and the lanes' tallies. With keep set
 // (one point) it replays the cluster's kept run when that run is of the
 // same workload, and otherwise records one if the cluster keeps logs (see
-// clusterSim.point).
+// clusterSim.point). The "expand" span's stream attribute says where the
+// instructions came from: "cached" (the context's expansion already held
+// the workload), "expanded" (written into it) or "generated" (streamed
+// from the generator).
 func (sc *SimContext) simulate(pts []point, keep bool, parent *obs.Span) (pmu.Sample, []pipeline.Tally) {
 	pt := pts[0]
 	if cap(sc.tallies) < len(pts) {
@@ -288,24 +297,34 @@ func (sc *SimContext) simulate(pts []point, keep bool, parent *obs.Span) (pmu.Sa
 		clocks = append(clocks, s.hier.ClockAt(p.ghz))
 	}
 	sc.clocks = clocks
-	// The transient context hands the generator straight to the core; the
-	// reusing one replays the cached expansion.
-	var stream isa.BlockStream
-	var n int
-	if sc.sims == nil {
-		stream = workload.NewGenerator(pt.prof)
-	} else {
-		insts := sc.expand(pt.prof)
-		stream, n = &packedStream{insts: insts}, len(insts)
-	}
-	sp.End()
-
-	sp = parent.Child("pipeline")
 	if keep {
 		s.keeps = s.keeps || s.point == pt.prof
 		s.point = pt.prof
 	}
 	record := keep && s.keeps
+	// Expand only what will be replayed (see SimContext): a multi-point
+	// sweep's stream, or a recording's, which sizes the log exactly. A
+	// one-point run that records nothing, and the transient context,
+	// hand the generator straight to the core.
+	var stream isa.BlockStream
+	var n int
+	how := "generated"
+	if cached := sc.streamProf == pt.prof; sc.sims != nil && (cached || !keep || record) {
+		how = "expanded"
+		if cached {
+			how = "cached"
+		}
+		insts := sc.expand(pt.prof)
+		stream, n = &packedStream{insts: insts}, len(insts)
+	} else {
+		stream = workload.NewGenerator(pt.prof)
+	}
+	if sp != nil {
+		sp.Annotate(obs.String("stream", how))
+		sp.End()
+	}
+
+	sp = parent.Child("pipeline")
 	if record {
 		tallies[0] = s.core.Record(stream, n, clocks[0], &s.kept.log)
 	} else {

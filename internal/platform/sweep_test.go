@@ -134,6 +134,65 @@ func TestKeptLogInvalidation(t *testing.T) {
 	}
 }
 
+// TestPointByPointStreamReuse pins which one-point detailed runs of a
+// reused context expand their workload's stream, walking two workloads'
+// Experiment-1 grid one point at a time in the distributed job order
+// (workload, cluster, frequency). The first point of a workload streams
+// from the generator ("generated"); the second records the cluster's run
+// and expands the stream to size its log ("expanded"); the cluster's
+// later points replay the log with no "expand" phase. The other cluster
+// finds the expansion in the context ("cached"). Keeping logs is sticky,
+// so the next workload's first point records and expands at once. Every
+// Measurement must equal a fresh Platform.Run of its point.
+func TestPointByPointStreamReuse(t *testing.T) {
+	pl := hw.Platform()
+	w, v := mustProfile(t, "dhrystone"), mustProfile(t, "parsec-canneal-4")
+	sc := platform.NewSimContext(pl)
+	for _, step := range []struct {
+		prof    workload.Profile
+		cluster string
+		streams []string // the expand span's stream attribute per point; "" for a replay
+	}{
+		{w, hw.ClusterA7, []string{"generated", "expanded", "", ""}},
+		{w, hw.ClusterA15, []string{"cached", "cached", "", ""}},
+		{v, hw.ClusterA7, []string{"expanded", "", "", ""}},
+		{v, hw.ClusterA15, []string{"cached", "", "", ""}},
+	} {
+		for k, f := range hw.ExperimentFrequencies(step.cluster) {
+			tr := obs.NewTracer()
+			root := tr.Start("job")
+			got, err := sc.RunFidelity(step.prof, step.cluster, f, platform.FidelityDetailed, root)
+			root.End()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream := ""
+			for _, ev := range tr.Events() {
+				if ev.Name != "expand" {
+					continue
+				}
+				stream = "<missing>"
+				for _, a := range ev.Attrs {
+					if a.Key == "stream" {
+						stream, _ = a.Value.(string)
+					}
+				}
+			}
+			if stream != step.streams[k] {
+				t.Fatalf("%s/%s@%dMHz: stream %q, want %q", step.prof.Name, step.cluster, f, stream, step.streams[k])
+			}
+			want, err := pl.Run(step.prof, step.cluster, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s@%dMHz: reused context differs from a fresh run\ngot:  %+v\nwant: %+v",
+					step.prof.Name, step.cluster, f, got, want)
+			}
+		}
+	}
+}
+
 // TestRunSweepStopsAtUnresolvedPoint pins a sweep's failure semantics: the
 // points before one that does not resolve run (and equal their one-point
 // runs), and that point's error comes back with them; a sweep whose first
